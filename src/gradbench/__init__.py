@@ -5,9 +5,8 @@ history of descent directions, with a BFGS harness and benchmark tooling.
 from .direction_history import DirectionHistory, mgs_orthonormalize
 from .finite_difference import (
     BasisMatrix,
+    Estimate,
     FdScheme,
-    GradientEstimate,
-    HessianEstimate,
     IllConditionedBasisError,
     ObjectiveFn,
     directional_derivative,
@@ -31,10 +30,9 @@ __all__ = [
     "BasisMatrix",
     "BfgsOptions",
     "DirectionHistory",
+    "Estimate",
     "FdScheme",
     "FUNCTION_NAMES",
-    "GradientEstimate",
-    "HessianEstimate",
     "IllConditionedBasisError",
     "LineSearchError",
     "ObjectiveFn",

@@ -3,72 +3,54 @@
 The history holds an n x n orthonormal matrix.  Folding in a new iterate
 difference pushes it into the leading column; the previously accumulated
 directions shift back one slot and are re-orthonormalized against it by
-modified Gram-Schmidt.  Storage never grows past the one matrix.
+Householder QR.  Storage never grows past the one matrix.
 """
 
 import numpy as np
 
-from .finite_difference import BasisMatrix
+from .finite_difference import BasisMatrix, _householder_qr
 
 _DEGENERATE_RTOL = 1e-10
 _ZERO_STEP_TOL = 1e-14
 
 
-def _strip(v, Q, k):
-    """Remove from v (in place) its components along the first k columns of Q."""
-    for i in range(k):
-        v -= (Q[:, i] @ v) * Q[:, i]
-    return v
-
-
-def _project_out(v, Q, k):
-    """Project v against the accepted columns; returns (residual, norm).
-
-    A second projection pass runs whenever the first one cancels more than
-    half of the column's norm: with severe cancellation a single pass
-    leaves contamination of order eps * |v| / |residual|, which can exceed
-    the 1e-12 orthonormality budget for nearly parallel inputs.
-    """
-    before = np.linalg.norm(v)
-    v = _strip(v, Q, k)
-    r = np.linalg.norm(v)
-    if r < 0.5 * before:
-        v = _strip(v, Q, k)
-        r = np.linalg.norm(v)
-    return v, r
-
-
 def _spare_canonical(Q, k, n):
-    """Canonical basis vector least represented in the accepted columns."""
-    mass = (Q[:, :k] ** 2).sum(axis=1) if k else np.zeros(n)
+    """Canonical basis vector least represented in the first k columns of Q.
+
+    Ties in the squared mass go to the lowest index; when two masses differ
+    only by rounding, which axis wins depends on that rounding, and either
+    gives a valid basis.
+    """
+    mass = (Q[:, :k] ** 2).sum(axis=1)
     e = np.zeros(n)
     e[int(np.argmin(mass))] = 1.0
     return e
 
 
 def mgs_orthonormalize(matrix):
-    """Modified Gram-Schmidt orthonormalization with degenerate recovery.
+    """Orthonormalize a square matrix's columns in order, recovering from degeneracy.
 
-    Each column is sequentially stripped of its components along the
-    already-accepted columns, then normalized.  A column whose residual
-    falls below 1e-10 times the largest input column norm is replaced by
-    the canonical axis with the largest residual against the accepted
-    span, so the result is always a full orthonormal basis and the column
+    Column j of the result is the normalized component of input column j
+    orthogonal to the columns before it (Householder QR with diag(R) >= 0),
+    so the leading column is the normalized first input column.  A column
+    whose residual falls to 1e-10 times the largest input column norm or
+    below is replaced by the canonical axis least represented in the
+    columns before it (lowest index on a tie), and the matrix is factored
+    again, so the result is always a full orthonormal basis and the column
     span is preserved for full-rank input.
     """
-    M = np.asarray(matrix, dtype=float)
+    M = np.array(matrix, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("expected a square matrix")
     if not np.isfinite(M).all():
         raise ValueError("matrix entries must be finite")
     n = M.shape[0]
     tol = _DEGENERATE_RTOL * np.linalg.norm(M, axis=0).max()
-    Q = np.zeros((n, n))
+    Q, r = _householder_qr(M)
     for j in range(n):
-        v, r = _project_out(M[:, j].copy(), Q, j)
-        if r <= tol:
-            v, r = _project_out(_spare_canonical(Q, j, n), Q, j)
-        Q[:, j] = v / r
+        if r[j] <= tol:
+            M[:, j] = _spare_canonical(Q, j, n)
+            Q, r = _householder_qr(M)
     return BasisMatrix(Q, orthonormal=True)
 
 

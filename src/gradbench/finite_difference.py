@@ -54,12 +54,6 @@ class FdScheme:
         kind, order = table[name]
         return cls(kind=kind, order=order, step=step)
 
-    def gradient_evals(self, n):
-        """Number of function evaluations one n-dimensional gradient costs."""
-        if self.kind == "forward":
-            return n + 1
-        return 2 * n if self.order == 1 else 4 * n
-
 
 class ObjectiveFn:
     """A scalar objective f: R^n -> R with an evaluation counter.
@@ -87,25 +81,17 @@ def _orthonormality_defect(G):
     return float(np.abs(E).sum(axis=1).max())
 
 
-def _reject_if_singular(G):
-    """Modified Gram-Schmidt singularity test.
+def _householder_qr(M):
+    """Householder QR of a square matrix M, normalized so that diag(R) >= 0.
 
-    Rejects when any column residual drops below 1e-10 times the largest
-    column norm of G.
+    Returns (Q, r) with Q orthonormal and r = |diag(R)|.  r[j] is the norm
+    of column j's component orthogonal to the columns before it, so
+    Q[:, 0] = M[:, 0] / |M[:, 0]| and a small r[j] marks column j as
+    numerically dependent on its predecessors.
     """
-    n = G.shape[1]
-    tol = _SINGULAR_RTOL * np.linalg.norm(G, axis=0).max()
-    accepted = []
-    for j in range(n):
-        v = G[:, j].copy()
-        for q in accepted:
-            v -= (q @ v) * q
-        r = np.linalg.norm(v)
-        if r <= tol:
-            raise IllConditionedBasisError(
-                f"basis column {j} is linearly dependent within tolerance"
-            )
-        accepted.append(v / r)
+    Q, R = np.linalg.qr(M)
+    diag = np.diag(R)
+    return Q * np.where(diag < 0.0, -1.0, 1.0), np.abs(diag)
 
 
 class BasisMatrix:
@@ -114,8 +100,8 @@ class BasisMatrix:
     With orthonormal=True the matrix must satisfy ||G^T G - I||_inf <= 1e-12
     (verified at construction).  With orthonormal=None the flag is detected
     against the same tolerance.  Non-orthonormal matrices are accepted as
-    long as a modified Gram-Schmidt pass leaves every column residual above
-    1e-10 times the largest column norm.
+    long as every column's residual against the columns before it (the
+    diagonal of a QR factor) stays above 1e-10 times the largest column norm.
     """
 
     def __init__(self, columns, orthonormal=None):
@@ -134,7 +120,13 @@ class BasisMatrix:
         if orthonormal is None:
             orthonormal = defect <= _ORTHONORMAL_TOL
         if not orthonormal:
-            _reject_if_singular(G)
+            _, r = _householder_qr(G)
+            tol = _SINGULAR_RTOL * np.linalg.norm(G, axis=0).max()
+            dependent = np.flatnonzero(r <= tol)
+            if dependent.size:
+                raise IllConditionedBasisError(
+                    f"basis column {dependent[0]} is linearly dependent within tolerance"
+                )
         G.flags.writeable = False
         self.matrix = G
         self.orthonormal = bool(orthonormal)
@@ -158,17 +150,8 @@ class BasisMatrix:
 
 
 @dataclass(frozen=True)
-class GradientEstimate:
-    """Estimated gradient plus the basis and evaluation budget that produced it."""
-
-    values: np.ndarray
-    basis: BasisMatrix
-    evals_used: int
-
-
-@dataclass(frozen=True)
-class HessianEstimate:
-    """Estimated (symmetrized) Hessian plus provenance."""
+class Estimate:
+    """Gradient or (symmetrized) Hessian estimate with its basis and evaluation cost."""
 
     values: np.ndarray
     basis: BasisMatrix
@@ -240,14 +223,13 @@ def gradient_in_basis(f, x, basis, scheme=FdScheme()):
     _check_point(f, x)
     if basis.dim != f.dim:
         raise ValueError("basis dimension does not match the objective")
+    before = f.eval_count
     inner = _gradient_along_columns(f, x, basis.matrix, scheme)
     if basis.orthonormal:
         values = basis.matrix @ inner
     else:
         values = np.linalg.solve(basis.matrix.T, inner)
-    return GradientEstimate(
-        values=values, basis=basis, evals_used=scheme.gradient_evals(f.dim)
-    )
+    return Estimate(values=values, basis=basis, evals_used=f.eval_count - before)
 
 
 def vanilla_gradient(f, x, scheme=FdScheme()):
@@ -273,6 +255,7 @@ def hessian_in_basis(f, x, basis, scheme=FdScheme()):
     n = basis.dim
     h = scheme.step
     cols = basis.matrix
+    before = f.eval_count
     f0 = f(x)
     inner = np.empty((n, n))
     for i in range(n):
@@ -287,4 +270,4 @@ def hessian_in_basis(f, x, basis, scheme=FdScheme()):
             inner[j, i] = cross
     transformed = cols @ inner @ cols.T
     values = 0.5 * (transformed + transformed.T)
-    return HessianEstimate(values=values, basis=basis, evals_used=2 * n * n + 1)
+    return Estimate(values=values, basis=basis, evals_used=f.eval_count - before)

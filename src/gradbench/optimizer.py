@@ -3,9 +3,8 @@
 The gradient callback is invoked exactly once per accepted iterate
 (including the starting point), never at rejected trial points: the line
 search works from function values alone, checking the curvature condition
-with one-dimensional central differences along the search ray unless an
-explicit gradient callable is supplied.  This keeps stateful gradient
-callbacks fed with genuine accepted steps.
+with one-dimensional central differences along the search ray.  This keeps
+stateful gradient callbacks fed with genuine accepted steps.
 """
 
 from dataclasses import dataclass
@@ -49,13 +48,13 @@ class OptimResult:
     converged: bool
 
 
-def line_search(f, grad, x, d, f0, g0, opts, max_expansions=50):
+def line_search(f, x, d, f0, g0, opts, max_expansions=50):
     """Find a step along d satisfying the strong Wolfe conditions.
 
     Bracketing with doubling trial steps starting at 1, then a zoom phase
-    with safeguarded quadratic interpolation.  `grad` may be None, in which
-    case the curvature condition is checked with central differences of
-    a -> f(x + a d); pass a gradient callable for exact checks.
+    with safeguarded quadratic interpolation.  The curvature condition is
+    checked with central differences of a -> f(x + a d); g0 is the gradient
+    at x and gives the slope at a = 0.
 
     Returns (alpha, f(x + alpha d)).  Raises ValueError when d is not a
     descent direction and LineSearchError when no acceptable step exists
@@ -70,16 +69,9 @@ def line_search(f, grad, x, d, f0, g0, opts, max_expansions=50):
     def phi(a):
         return f(x + a * d)
 
-    if grad is None:
-
-        def dphi(a):
-            step = _CURVATURE_FD_STEP * max(1.0, abs(a))
-            return (phi(a + step) - phi(a - step)) / (2.0 * step)
-
-    else:
-
-        def dphi(a):
-            return float(np.dot(np.asarray(grad(x + a * d), dtype=float), d))
+    def dphi(a):
+        step = _CURVATURE_FD_STEP * max(1.0, abs(a))
+        return (phi(a + step) - phi(a - step)) / (2.0 * step)
 
     alpha_prev, phi_prev, dphi_prev = 0.0, f0, dphi0
     alpha = 1.0
@@ -194,7 +186,7 @@ def bfgs_minimize(f, grad, x0, opts=None):
             H = np.eye(n)
             d = -g
         try:
-            alpha, f_new = line_search(f, None, x, d, fx, g, opts)
+            alpha, f_new = line_search(f, x, d, fx, g, opts)
         except LineSearchError:
             break
         x_new = x + alpha * d

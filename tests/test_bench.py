@@ -45,6 +45,14 @@ class TestRunComparison:
         assert all(r.mse >= 0.0 and r.grad_norm >= 0.0 for r in records)
         assert all(r.function == "rosenbrock-chained" and r.dim == 3 for r in records)
 
+    def test_pairwise_30_history_stays_orthonormal(self):
+        # from this start, column-by-column Gram-Schmidt left the history
+        # basis ~2e-12 from orthonormal, past the 1e-12 that BasisMatrix
+        # demands of a basis flagged orthonormal, and the race raised
+        records = bench.run_comparison("rosenbrock-pairwise", 30, reps=1, seed=5)
+        assert {r.method for r in records} == {"vanilla", "smart"}
+        assert all(np.isfinite(r.mse) for r in records)
+
     def test_invalid_arguments_rejected(self):
         with pytest.raises(ValueError):
             bench.run_comparison("rosenbrock-pairwise", 5, reps=1, seed=0)

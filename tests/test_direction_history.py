@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradbench.direction_history import DirectionHistory, mgs_orthonormalize
 from gradbench.finite_difference import BasisMatrix
+from oracle import reference_mgs
+
+# derandomized so every run draws the same examples; no example database
+PROPERTY_SETTINGS = settings(
+    max_examples=300, derandomize=True, database=None, deadline=None
+)
 
 
 def orthonormality_defect(Q):
@@ -153,3 +161,65 @@ class TestDirectionHistory:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
             DirectionHistory(3).update(np.ones(2))
+
+
+class TestAgreesWithReferenceMgs:
+    """The Householder QR against the column-by-column MGS it replaced."""
+
+    @PROPERTY_SETTINGS
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 20),
+        log_cond=st.floats(0.0, 8.0),
+        log_scale=st.floats(-6.0, 6.0),
+    )
+    def test_full_rank_input(self, seed, n, log_cond, log_scale):
+        rng = np.random.default_rng(seed)
+        U = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        V = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        M = (U * np.logspace(log_scale, log_scale - log_cond, n)) @ V.T
+        Q = mgs_orthonormalize(M).matrix
+        reference, _ = reference_mgs(M)
+        assert np.abs(Q - reference).max() <= 1e-13 * np.linalg.cond(M)
+
+    @PROPERTY_SETTINGS
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 12),
+        kinds=st.lists(
+            st.sampled_from(["parallel", "span2", "tiny", "generic"]),
+            min_size=1,
+            max_size=8,
+        ),
+    )
+    def test_update_sequences(self, seed, n, kinds):
+        # Degenerate steps make the candidate rank deficient, so a column is
+        # replaced by the spare canonical axis.  Where two axis masses tie to
+        # rounding, the two orthonormalizations may pick different axes; both
+        # bases are valid, and the reference continues from the library's.
+        rng = np.random.default_rng(seed)
+        hist = DirectionHistory(n)
+        reference = np.eye(n)
+        for kind in kinds:
+            G = hist.basis.matrix
+            if kind == "parallel":
+                delta = rng.normal() * G[:, rng.integers(0, n)]
+            elif kind == "span2":
+                delta = rng.normal() * G[:, 0] + rng.normal() * G[:, 1]
+            elif kind == "tiny":
+                delta = 10.0 ** rng.uniform(-13.9, -10.0) * rng.standard_normal(n)
+            else:
+                delta = rng.standard_normal(n)
+            if np.linalg.norm(delta) <= 1e-14:
+                continue
+            hist.update(delta)
+            Q = hist.basis.matrix
+            if kind != "tiny":  # a tiny step is itself replaced as degenerate
+                np.testing.assert_allclose(
+                    Q[:, 0], delta / np.linalg.norm(delta), rtol=0, atol=1e-14
+                )
+            reference, tie_gap = reference_mgs(
+                np.column_stack([delta, reference[:, : n - 1]])
+            )
+            assert np.abs(Q - reference).max() <= 1e-8 or tie_gap < 1e-12
+            reference = Q

@@ -56,7 +56,7 @@ class TestLineSearch:
         x = np.array([1.0, -2.0])
         g = A @ x
         d = -np.linalg.solve(A, g)
-        alpha, f_a = line_search(f, None, x, d, f(x), g, BfgsOptions())
+        alpha, f_a = line_search(f, x, d, f(x), g, BfgsOptions())
         assert abs(alpha - 1.0) < 1e-6
         assert f_a == pytest.approx(f(x + alpha * d))
 
@@ -66,38 +66,29 @@ class TestLineSearch:
         x = np.array([1.0])
         d = np.array([-1.0])
         opts = BfgsOptions()
-        alpha, _ = line_search(f, grad, x, d, f(x), grad(x), opts)
+        alpha, _ = line_search(f, x, d, f(x), grad(x), opts)
         assert 0.0 < alpha < 2.0
         assert wolfe_holds(f, grad, x, d, alpha, opts)
 
-    def test_banana_valley_point_satisfies_wolfe(self):
-        x = np.array([-1.2, 1.0])
-        g = rosenbrock2d_grad(x)
-        d = -g
-        opts = BfgsOptions()
-        alpha, _ = line_search(rosenbrock2d, rosenbrock2d_grad, x, d,
-                               rosenbrock2d(x), g, opts)
-        assert wolfe_holds(rosenbrock2d, rosenbrock2d_grad, x, d, alpha, opts)
-
     def test_fd_curvature_path_satisfies_wolfe(self):
-        # grad=None: curvature decisions come from differences of f only
+        # curvature decisions come from differences of f only
         x = np.array([-1.2, 1.0])
         g = rosenbrock2d_grad(x)
         d = -g
         opts = BfgsOptions()
-        alpha, _ = line_search(rosenbrock2d, None, x, d, rosenbrock2d(x), g, opts)
+        alpha, _ = line_search(rosenbrock2d, x, d, rosenbrock2d(x), g, opts)
         assert wolfe_holds(rosenbrock2d, rosenbrock2d_grad, x, d, alpha, opts)
 
     def test_non_descent_direction_rejected(self):
         f = lambda x: float(x[0] ** 2)
         with pytest.raises(ValueError):
-            line_search(f, None, np.array([1.0]), np.array([1.0]), 1.0,
+            line_search(f, np.array([1.0]), np.array([1.0]), 1.0,
                         np.array([2.0]), BfgsOptions())
 
     def test_unbounded_descent_fails(self):
         f = lambda x: float(x[0])
         with pytest.raises(LineSearchError):
-            line_search(f, None, np.array([0.0]), np.array([-1.0]), 0.0,
+            line_search(f, np.array([0.0]), np.array([-1.0]), 0.0,
                         np.array([1.0]), BfgsOptions(), max_expansions=20)
 
 
