@@ -38,13 +38,13 @@ DEFAULT_ANGLE_STEP = np.pi / 1000.0
 START_SCALE = 3.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BenchRecord:
     """One gradient-accuracy measurement at an accepted optimizer iterate.
 
     mse scores the estimate actually used by the optimizer against the
     analytic gradient; grad_norm is the Euclidean norm of the analytic
-    gradient at the same iterate.
+    gradient at the same iterate.  Slotted, since a run keeps one per iterate.
     """
 
     function: str

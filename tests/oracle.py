@@ -2,8 +2,10 @@
 
 richardson_gradient: four central-difference levels with halved steps,
 extrapolated to eighth order.  reference_mgs: column-by-column modified
-Gram-Schmidt.  Both are deliberately separate from the library's own
-stencils and orthonormalization so the two never share a code path.
+Gram-Schmidt.  reference_stencil_value, reference_gradient_in_basis and
+reference_hessian_in_basis: the finite-difference stencils evaluated one
+point per call, in loops.  All are deliberately separate from the library's
+own stencils and orthonormalization so the two never share a code path.
 """
 
 import numpy as np
@@ -85,3 +87,54 @@ def reference_mgs(matrix):
             v, r = _project_out(v, Q, j)
         Q[:, j] = v / r
     return Q, tie_gap
+
+
+def reference_stencil_value(fn, x, u, scheme, f_base=None):
+    """One finite-difference value along u, one objective call per point."""
+    h = scheme.step
+    if scheme.kind == "forward":
+        base = float(fn(x)) if f_base is None else f_base
+        return (float(fn(x + h * u)) - base) / h
+    if scheme.order == 1:
+        return (float(fn(x + h * u)) - float(fn(x - h * u))) / (2.0 * h)
+    return (
+        -float(fn(x + 2.0 * h * u))
+        + 8.0 * float(fn(x + h * u))
+        - 8.0 * float(fn(x - h * u))
+        + float(fn(x - 2.0 * h * u))
+    ) / (12.0 * h)
+
+
+def reference_gradient_in_basis(fn, x, basis, scheme):
+    """Gradient along the columns of a BasisMatrix, mapped back to the axes."""
+    G = basis.matrix
+    n = G.shape[1]
+    f_base = float(fn(x)) if scheme.kind == "forward" else None
+    inner = np.empty(n)
+    for i in range(n):
+        inner[i] = reference_stencil_value(fn, x, G[:, i], scheme, f_base=f_base)
+    if basis.orthonormal:
+        return G @ inner
+    return np.linalg.solve(G.T, inner)
+
+
+def reference_hessian_in_basis(fn, x, basis, scheme):
+    """Symmetrized G H G^T from three-point diagonal and four-point cross stencils."""
+    cols = basis.matrix
+    n = cols.shape[1]
+    h = scheme.step
+    f0 = float(fn(x))
+    inner = np.empty((n, n))
+    for i in range(n):
+        si = h * cols[:, i]
+        inner[i, i] = (float(fn(x + si)) - 2.0 * f0 + float(fn(x - si))) / (h * h)
+        for j in range(i):
+            sj = h * cols[:, j]
+            cross = (
+                float(fn(x + si + sj)) - float(fn(x + si - sj))
+                - float(fn(x - si + sj)) + float(fn(x - si - sj))
+            ) / (4.0 * h * h)
+            inner[i, j] = cross
+            inner[j, i] = cross
+    transformed = cols @ inner @ cols.T
+    return 0.5 * (transformed + transformed.T)

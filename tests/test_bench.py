@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -5,7 +7,13 @@ from scipy import stats
 from gradbench import bench
 from gradbench.bench import BenchRecord
 from gradbench.finite_difference import FdScheme, ObjectiveFn, vanilla_gradient
-from gradbench.testbed import TestFunction, grad_mse, rosenbrock2d, rosenbrock2d_grad
+from gradbench.testbed import (
+    TestFunction,
+    get_test_function,
+    grad_mse,
+    rosenbrock2d,
+    rosenbrock2d_grad,
+)
 
 
 def sphere_function(dim):
@@ -53,6 +61,19 @@ class TestRunComparison:
         assert {r.method for r in records} == {"vanilla", "smart"}
         assert all(np.isfinite(r.mse) for r in records)
 
+    def test_row_by_row_objective_writes_the_same_csv(self, tmp_path):
+        # an unmarked lambda takes ObjectiveFn's one-call-per-point path,
+        # the registry function the batched path; the CSV must not tell
+        registry = get_test_function("rosenbrock-chained", 10)
+        unbatched = TestFunction(registry.name, 10, lambda x: registry.fn(x),
+                                 registry.grad, registry.optimum)
+        paths = []
+        for function in (registry.name, unbatched):
+            paths.append(tmp_path / f"{len(paths)}.csv")
+            bench.write_bench_csv(
+                bench.run_comparison(function, 10, reps=4, seed=3), paths[-1])
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
     def test_invalid_arguments_rejected(self):
         with pytest.raises(ValueError):
             bench.run_comparison("rosenbrock-pairwise", 5, reps=1, seed=0)
@@ -60,6 +81,15 @@ class TestRunComparison:
             bench.run_comparison("no-such-function", 4, reps=1, seed=0)
         with pytest.raises(ValueError):
             bench.run_comparison("rosenbrock-chained", 3, reps=0, seed=0)
+
+
+class TestBenchRecord:
+    def test_slotted_but_still_a_frozen_value(self):
+        r = BenchRecord("f", 2, 0, 0, "smart", 1.0, 1.0)
+        assert not hasattr(r, "__dict__")
+        assert dataclasses.replace(r, mse=2.0) == BenchRecord("f", 2, 0, 0, "smart", 2.0, 1.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            r.mse = 3.0
 
 
 class TestSummarize:

@@ -12,9 +12,31 @@ from gradbench.finite_difference import (
     vanilla_gradient,
 )
 from gradbench.direction_history import mgs_orthonormalize
-from gradbench.testbed import rosenbrock2d, rosenbrock2d_grad
+from gradbench.testbed import get_test_function, rosenbrock2d, rosenbrock2d_grad
+from oracle import (
+    reference_gradient_in_basis,
+    reference_hessian_in_basis,
+    reference_stencil_value,
+)
 
 X_BANANA = np.array([-0.29, 0.40])
+
+# Every testbed family, at dimensions long enough for numpy's unrolled
+# pairwise summation to matter (8 or more terms per point).
+FAMILIES = [
+    ("rosenbrock2d", 2),
+    ("rosenbrock-pairwise", 18),
+    ("rosenbrock-chained", 25),
+    ("freudenstein-roth", 26),
+]
+SCHEMES = [FdScheme("central", 1), FdScheme("central", 4), FdScheme("forward", 1)]
+
+
+def _family_point(name, dim, seed):
+    """A test function and a point drawn around its optimum."""
+    tf = get_test_function(name, dim)
+    rng = np.random.default_rng(seed)
+    return tf, tf.optimum + 0.5 * rng.standard_normal(dim), rng
 
 
 class TestFdScheme:
@@ -58,6 +80,60 @@ class TestObjectiveFn:
     def test_rejects_nonpositive_dim(self):
         with pytest.raises(ValueError):
             ObjectiveFn(lambda x: 0.0, 0)
+
+    @pytest.mark.parametrize("name,dim", FAMILIES)
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_rows_equal_single_calls_bitwise(self, name, dim, order):
+        tf, x, rng = _family_point(name, dim, 0)
+        assert tf.fn.batched
+        X = np.array(x + 1e-3 * rng.standard_normal((40, dim)), order=order)
+        f = ObjectiveFn(tf.fn, dim)
+        values = f.eval_rows(X)
+        assert values.shape == (40,)
+        assert np.array_equal(values, [tf.fn(row) for row in np.array(X, order="C")])
+        assert f.eval_count == 40
+        f.eval_rows(X[:3])
+        assert f.eval_count == 43
+
+    def test_unmarked_callable_is_called_row_by_row(self):
+        seen = []
+
+        def fn(x):
+            seen.append(x.shape)
+            return float(np.sum(x * x))
+
+        f = ObjectiveFn(fn, 3)
+        X = np.arange(12.0).reshape(4, 3)
+        np.testing.assert_array_equal(f.eval_rows(X), [5.0, 50.0, 149.0, 302.0])
+        assert seen == [(3,)] * 4
+        assert f.eval_count == 4
+
+    def test_batched_callable_gets_one_c_contiguous_call(self):
+        seen = []
+
+        def fn(X):
+            seen.append((X.shape, X.flags.c_contiguous))
+            return np.sum(X, axis=-1)
+
+        fn.batched = True
+        f = ObjectiveFn(fn, 3)
+        f.eval_rows(np.asfortranarray(np.ones((5, 3))))
+        assert seen == [((5, 3), True)]
+        assert f.eval_count == 5
+
+    @pytest.mark.parametrize("result", [lambda X: 0.0, lambda X: np.zeros((len(X), 1)),
+                                        lambda X: np.zeros(len(X) + 1)])
+    def test_batched_callable_returning_wrong_shape_raises(self, result):
+        result.batched = True
+        with pytest.raises(ValueError):
+            ObjectiveFn(result, 2).eval_rows(np.zeros((4, 2)))
+
+    def test_rows_must_match_the_dimension(self):
+        f = ObjectiveFn(rosenbrock2d, 2)
+        with pytest.raises(ValueError):
+            f.eval_rows(np.zeros((4, 3)))
+        with pytest.raises(ValueError):
+            f.eval_rows(np.zeros(2))
 
 
 class TestBasisMatrix:
@@ -251,3 +327,44 @@ class TestHessianInBasis:
         G = BasisMatrix(np.array([[1.0, 1.0], [0.0, 2.0]]))
         with pytest.raises(ValueError):
             hessian_in_basis(self._quad(), np.zeros(2), G, FdScheme())
+
+
+def _basis(kind, dim, rng):
+    if kind == "identity":
+        return BasisMatrix.identity(dim)
+    M = rng.standard_normal((dim, dim))
+    if kind == "orthonormal":
+        return mgs_orthonormalize(M)
+    basis = BasisMatrix(M + dim * np.eye(dim))
+    assert not basis.orthonormal
+    return basis
+
+
+class TestAgreesWithScalarStencilsBitwise:
+    """Batched stencils against the one-point-per-call loops they replaced."""
+
+    @pytest.mark.parametrize("name,dim", FAMILIES)
+    @pytest.mark.parametrize("scheme", SCHEMES, ids=lambda s: f"{s.kind}{s.order}")
+    @pytest.mark.parametrize("kind", ["identity", "orthonormal", "general"])
+    def test_gradient_in_basis(self, name, dim, scheme, kind):
+        tf, x, rng = _family_point(name, dim, 1)
+        basis = _basis(kind, dim, rng)
+        est = gradient_in_basis(ObjectiveFn(tf.fn, dim), x, basis, scheme)
+        assert np.array_equal(est.values, reference_gradient_in_basis(tf.fn, x, basis, scheme))
+
+    @pytest.mark.parametrize("name,dim", FAMILIES)
+    @pytest.mark.parametrize("scheme", SCHEMES, ids=lambda s: f"{s.kind}{s.order}")
+    def test_directional_derivative(self, name, dim, scheme):
+        tf, x, rng = _family_point(name, dim, 2)
+        u = rng.standard_normal(dim)
+        u /= np.linalg.norm(u)
+        d = directional_derivative(ObjectiveFn(tf.fn, dim), x, u, scheme)
+        assert d == reference_stencil_value(tf.fn, x, u, scheme)
+
+    @pytest.mark.parametrize("name,dim", FAMILIES)
+    @pytest.mark.parametrize("kind", ["identity", "orthonormal"])
+    def test_hessian_in_basis(self, name, dim, kind):
+        tf, x, rng = _family_point(name, dim, 3)
+        basis = _basis(kind, dim, rng)
+        est = hessian_in_basis(ObjectiveFn(tf.fn, dim), x, basis, FdScheme())
+        assert np.array_equal(est.values, reference_hessian_in_basis(tf.fn, x, basis, FdScheme()))
