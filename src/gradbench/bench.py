@@ -19,7 +19,7 @@ from .finite_difference import (
     gradient_in_basis,
     vanilla_gradient,
 )
-from .optimizer import BfgsOptions, bfgs_minimize
+from .optimizer import bfgs_minimize
 from .smart_estimator import wrap
 from .testbed import TestFunction, get_test_function, grad_mse, rosenbrock2d, rosenbrock2d_grad
 
@@ -108,7 +108,7 @@ def _resolve_function(function, dim):
     return get_test_function(function, dim)
 
 
-def _recorded_run(test_fn, x0, scheme, method, opts):
+def _recorded_run(test_fn, x0, scheme, method):
     """One BFGS run; returns (iteration, mse, grad_norm) per gradient call."""
     objective = ObjectiveFn(test_fn.fn, test_fn.dim)
     if method == "smart":
@@ -131,11 +131,11 @@ def _recorded_run(test_fn, x0, scheme, method, opts):
         )
         return values
 
-    bfgs_minimize(objective, recording_grad, x0, opts)
+    bfgs_minimize(objective, recording_grad, x0)
     return rows
 
 
-def run_comparison(function, dim, reps=100, seed=0, scheme=None, opts=None):
+def run_comparison(function, dim, reps=100, seed=0, scheme=None):
     """Race the two estimators over repeated BFGS runs.
 
     For every rep a random start is drawn (isotropic normal with spread
@@ -149,15 +149,11 @@ def run_comparison(function, dim, reps=100, seed=0, scheme=None, opts=None):
         raise ValueError("reps must be at least 1")
     if scheme is None:
         scheme = FdScheme()
-    if opts is None:
-        opts = BfgsOptions()
     records = []
     for rep in range(reps):
         x0 = _draw_start(seed, rep, dim)
         for method in METHODS:
-            for iteration, mse, grad_norm in _recorded_run(
-                test_fn, x0, scheme, method, opts
-            ):
+            for iteration, mse, grad_norm in _recorded_run(test_fn, x0, scheme, method):
                 records.append(
                     BenchRecord(
                         function=test_fn.name,
@@ -220,13 +216,15 @@ def run_rotation_scan(x=DEFAULT_ROTATION_POINT, angle_step=DEFAULT_ANGLE_STEP,
     along the first rotated direction, so either quantity can be plotted
     against the angle.
     """
-    if angle_step <= 0.0:
-        raise ValueError("angle_step must be positive")
+    if not 0.0 < angle_step < np.inf:
+        raise ValueError("angle_step must be positive and finite")
     if scheme is None:
         scheme = FdScheme()
     x = np.asarray(x, dtype=float)
     if x.shape != (2,):
         raise ValueError("the rotation scan point must be two-dimensional")
+    if not np.isfinite(x).all():
+        raise ValueError("the rotation scan point must be finite")
     objective = ObjectiveFn(rosenbrock2d, 2)
     exact = rosenbrock2d_grad(x)
     records = []
@@ -246,18 +244,13 @@ def run_rotation_scan(x=DEFAULT_ROTATION_POINT, angle_step=DEFAULT_ANGLE_STEP,
     return records
 
 
-def run_hessian_demo(function, dim, seed=0, scheme=None, opts=None):
+def run_hessian_demo(function, dim, seed=0):
     """Drive BFGS to the mode with history-basis gradients, then estimate
     the Hessian there along the directions the run accumulated."""
     test_fn = _resolve_function(function, dim)
-    if scheme is None:
-        scheme = FdScheme()
-    if opts is None:
-        opts = BfgsOptions()
     objective = ObjectiveFn(test_fn.fn, test_fn.dim)
-    grad_cb = wrap(objective, scheme)
-    x0 = _draw_start(seed, 0, dim)
-    result = bfgs_minimize(objective, grad_cb, x0, opts)
+    grad_cb = wrap(objective)
+    result = bfgs_minimize(objective, grad_cb, _draw_start(seed, 0, dim))
     estimate = grad_cb.estimator.smart_hessian(result.x_opt)
     eigenvalues = np.linalg.eigvalsh(estimate.values)
     return HessianDemo(

@@ -99,12 +99,11 @@ def _cmd_rotate(parser, args):
         x0 = np.array([float(part) for part in args.x0.split(",")])
     except ValueError:
         parser.error("--x0 must be two comma-separated numbers")
-    if x0.size != 2:
-        parser.error("--x0 must be two comma-separated numbers")
-    if args.angle_step <= 0.0:
-        parser.error("--angle-step must be positive")
     scheme = _scheme_or_die(parser, "central1", args.step)
-    records = bench.run_rotation_scan(x0, angle_step=args.angle_step, scheme=scheme)
+    try:
+        records = bench.run_rotation_scan(x0, angle_step=args.angle_step, scheme=scheme)
+    except ValueError as exc:
+        parser.error(str(exc))
     bench.write_rotate_csv(records, args.out)
     print(f"wrote {len(records)} records to {args.out}")
 

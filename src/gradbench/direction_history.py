@@ -8,9 +8,8 @@ Householder QR.  Storage never grows past the one matrix.
 
 import numpy as np
 
-from .finite_difference import BasisMatrix, _householder_qr
+from .finite_difference import BasisMatrix, _dependence_tol, _householder_qr
 
-_DEGENERATE_RTOL = 1e-10
 _ZERO_STEP_TOL = 1e-14
 
 
@@ -45,7 +44,7 @@ def mgs_orthonormalize(matrix):
     if not np.isfinite(M).all():
         raise ValueError("matrix entries must be finite")
     n = M.shape[0]
-    tol = _DEGENERATE_RTOL * np.linalg.norm(M, axis=0).max()
+    tol = _dependence_tol(M)
     Q, r = _householder_qr(M)
     for j in range(n):
         if r[j] <= tol:

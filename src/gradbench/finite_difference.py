@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 _ORTHONORMAL_TOL = 1e-12
-_SINGULAR_RTOL = 1e-10
+_DEPENDENCE_RTOL = 1e-10
 _UNIT_NORM_TOL = 1e-12
 
 
@@ -40,8 +40,8 @@ class FdScheme:
             raise ValueError(f"unsupported scheme order {self.order}")
         if self.kind == "forward" and self.order == 4:
             raise ValueError("forward differences are only available at order 1")
-        if not self.step > 0.0:
-            raise ValueError("step must be positive")
+        if not 0.0 < self.step < np.inf:
+            raise ValueError("step must be positive and finite")
 
     @classmethod
     def from_name(cls, name, step=1e-3):
@@ -120,6 +120,12 @@ def _householder_qr(M):
     return Q * np.where(diag < 0.0, -1.0, 1.0), np.abs(diag)
 
 
+def _dependence_tol(M):
+    """Residual r[j] of _householder_qr at or below which column j of M
+    counts as dependent: 1e-10 times the largest column norm of M."""
+    return _DEPENDENCE_RTOL * np.linalg.norm(M, axis=0).max()
+
+
 class BasisMatrix:
     """Square non-singular matrix whose columns serve as derivative directions.
 
@@ -147,8 +153,7 @@ class BasisMatrix:
             orthonormal = defect <= _ORTHONORMAL_TOL
         if not orthonormal:
             _, r = _householder_qr(G)
-            tol = _SINGULAR_RTOL * np.linalg.norm(G, axis=0).max()
-            dependent = np.flatnonzero(r <= tol)
+            dependent = np.flatnonzero(r <= _dependence_tol(G))
             if dependent.size:
                 raise IllConditionedBasisError(
                     f"basis column {dependent[0]} is linearly dependent within tolerance"
@@ -177,10 +182,9 @@ class BasisMatrix:
 
 @dataclass(frozen=True)
 class Estimate:
-    """Gradient or (symmetrized) Hessian estimate with its basis and evaluation cost."""
+    """Gradient or (symmetrized) Hessian estimate with its evaluation cost."""
 
     values: np.ndarray
-    basis: BasisMatrix
     evals_used: int
 
 
@@ -241,7 +245,7 @@ def gradient_in_basis(f, x, basis, scheme=FdScheme()):
         values = basis.matrix @ inner
     else:
         values = np.linalg.solve(basis.matrix.T, inner)
-    return Estimate(values=values, basis=basis, evals_used=f.eval_count - before)
+    return Estimate(values=values, evals_used=f.eval_count - before)
 
 
 def vanilla_gradient(f, x, scheme=FdScheme()):
@@ -286,4 +290,4 @@ def hessian_in_basis(f, x, basis, scheme=FdScheme()):
     inner[j, i] = cross
     transformed = cols @ inner @ cols.T
     values = 0.5 * (transformed + transformed.T)
-    return Estimate(values=values, basis=basis, evals_used=f.eval_count - before)
+    return Estimate(values=values, evals_used=f.eval_count - before)

@@ -5,12 +5,23 @@ The gradient callback is invoked exactly once per accepted iterate
 search works from function values alone, checking the curvature condition
 with one-dimensional central differences along the search ray.  This keeps
 stateful gradient callbacks fed with genuine accepted steps.
+
+The line-search constants are fixed at the standard quasi-Newton values
+(Nocedal & Wright, *Numerical Optimization*, 2nd ed., section 3.1):
+sufficient decrease c1 = 1e-4 and curvature c2 = 0.9, loose enough that
+the unit step is usually accepted.  A search doubles its trial step at most
+50 times and zooms at most 60 times.  Every run, and every restart from
+steepest descent, starts from the identity inverse Hessian.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+WOLFE_C1 = 1e-4
+WOLFE_C2 = 0.9
+_MAX_EXPANSIONS = 50
+_MAX_ZOOM_STEPS = 60
 _CURVATURE_RTOL = 1e-10
 _CURVATURE_FD_STEP = 1e-5
 
@@ -23,19 +34,12 @@ class LineSearchError(RuntimeError):
 class BfgsOptions:
     max_iters: int = 200
     grad_tol: float = 1e-6
-    wolfe_c1: float = 1e-4
-    wolfe_c2: float = 0.9
-    initial_inverse_hessian: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 < self.wolfe_c1 < self.wolfe_c2 < 1.0:
-            raise ValueError("Wolfe constants must satisfy 0 < c1 < c2 < 1")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if self.grad_tol < 0.0:
-            raise ValueError("grad_tol must be non-negative")
-        if self.initial_inverse_hessian <= 0.0:
-            raise ValueError("initial_inverse_hessian must be positive")
+        if not self.grad_tol >= 0.0:
+            raise ValueError("grad_tol must be a non-negative number")
 
 
 @dataclass
@@ -44,11 +48,10 @@ class OptimResult:
     f_opt: float
     iterations: int
     trajectory: np.ndarray  # accepted iterates, row 0 is the starting point
-    grad_calls: int
     converged: bool
 
 
-def line_search(f, x, d, f0, g0, opts, max_expansions=50):
+def line_search(f, x, d, f0, g0):
     """Find a step along d satisfying the strong Wolfe conditions.
 
     Bracketing with doubling trial steps starting at 1, then a zoom phase
@@ -64,7 +67,6 @@ def line_search(f, x, d, f0, g0, opts, max_expansions=50):
     dphi0 = float(np.dot(g0, d))
     if dphi0 >= 0.0:
         raise ValueError("d is not a descent direction")
-    c1, c2 = opts.wolfe_c1, opts.wolfe_c2
 
     def phi(a):
         return f(x + a * d)
@@ -75,27 +77,25 @@ def line_search(f, x, d, f0, g0, opts, max_expansions=50):
 
     alpha_prev, phi_prev, dphi_prev = 0.0, f0, dphi0
     alpha = 1.0
-    for k in range(max_expansions):
+    for k in range(_MAX_EXPANSIONS):
         phi_a = phi(alpha)
-        if phi_a > f0 + c1 * alpha * dphi0 or (k > 0 and phi_a >= phi_prev):
+        if phi_a > f0 + WOLFE_C1 * alpha * dphi0 or (k > 0 and phi_a >= phi_prev):
             return _zoom(
-                phi, dphi, alpha_prev, phi_prev, dphi_prev, alpha, phi_a,
-                f0, dphi0, c1, c2,
+                phi, dphi, alpha_prev, phi_prev, dphi_prev, alpha, phi_a, f0, dphi0
             )
         dphi_a = dphi(alpha)
-        if abs(dphi_a) <= -c2 * dphi0:
-            return _refine(phi, dphi, alpha, phi_a, f0, dphi0, c1, c2)
+        if abs(dphi_a) <= -WOLFE_C2 * dphi0:
+            return _refine(phi, dphi, alpha, phi_a, f0, dphi0)
         if dphi_a >= 0.0:
             return _zoom(
-                phi, dphi, alpha, phi_a, dphi_a, alpha_prev, phi_prev,
-                f0, dphi0, c1, c2,
+                phi, dphi, alpha, phi_a, dphi_a, alpha_prev, phi_prev, f0, dphi0
             )
         alpha_prev, phi_prev, dphi_prev = alpha, phi_a, dphi_a
         alpha *= 2.0
-    raise LineSearchError(f"no bracket found after {max_expansions} expansions")
+    raise LineSearchError(f"no bracket found after {_MAX_EXPANSIONS} expansions")
 
 
-def _refine(phi, dphi, alpha, phi_a, phi0, dphi0, c1, c2):
+def _refine(phi, dphi, alpha, phi_a, phi0, dphi0):
     """Try to improve an already acceptable step by one quadratic fit.
 
     The fit through (0, phi0) with slope dphi0 and (alpha, phi_a) has its
@@ -113,15 +113,14 @@ def _refine(phi, dphi, alpha, phi_a, phi0, dphi0, c1, c2):
     phi_c = phi(cand)
     if (
         phi_c < phi_a
-        and phi_c <= phi0 + c1 * cand * dphi0
-        and abs(dphi(cand)) <= -c2 * dphi0
+        and phi_c <= phi0 + WOLFE_C1 * cand * dphi0
+        and abs(dphi(cand)) <= -WOLFE_C2 * dphi0
     ):
         return cand, phi_c
     return alpha, phi_a
 
 
-def _zoom(phi, dphi, a_lo, phi_lo, dphi_lo, a_hi, phi_hi, phi0, dphi0, c1, c2,
-          max_iters=60):
+def _zoom(phi, dphi, a_lo, phi_lo, dphi_lo, a_hi, phi_hi, phi0, dphi0):
     """Shrink a bracketing interval until the strong Wolfe conditions hold.
 
     a_lo always satisfies the sufficient-decrease condition and carries the
@@ -129,7 +128,7 @@ def _zoom(phi, dphi, a_lo, phi_lo, dphi_lo, a_hi, phi_hi, phi0, dphi0, c1, c2,
     interpolation step, safeguarded to fall back to bisection near the
     interval edges.
     """
-    for _ in range(max_iters):
+    for _ in range(_MAX_ZOOM_STEPS):
         width = a_hi - a_lo
         a = None
         curvature = (phi_hi - phi_lo - dphi_lo * width) / (width * width)
@@ -142,11 +141,11 @@ def _zoom(phi, dphi, a_lo, phi_lo, dphi_lo, a_hi, phi_hi, phi0, dphi0, c1, c2,
         if a is None:
             a = a_lo + 0.5 * width
         phi_a = phi(a)
-        if phi_a > phi0 + c1 * a * dphi0 or phi_a >= phi_lo:
+        if phi_a > phi0 + WOLFE_C1 * a * dphi0 or phi_a >= phi_lo:
             a_hi, phi_hi = a, phi_a
         else:
             dphi_a = dphi(a)
-            if abs(dphi_a) <= -c2 * dphi0:
+            if abs(dphi_a) <= -WOLFE_C2 * dphi0:
                 return a, phi_a
             if dphi_a * (a_hi - a_lo) >= 0.0:
                 a_hi, phi_hi = a_lo, phi_lo
@@ -173,25 +172,22 @@ def bfgs_minimize(f, grad, x0, opts=None):
     n = x.size
     fx = f(x)
     g = np.asarray(grad(x), dtype=float)
-    grad_calls = 1
     trajectory = [x.copy()]
-    eye = np.eye(n)
-    H = opts.initial_inverse_hessian * np.eye(n)
+    eye = H = np.eye(n)
     converged = bool(np.max(np.abs(g)) <= opts.grad_tol)
     iterations = 0
     while not converged and iterations < opts.max_iters:
         d = -(H @ g)
         if float(np.dot(g, d)) >= 0.0:
             # rounding broke positive definiteness; restart from steepest descent
-            H = np.eye(n)
+            H = eye
             d = -g
         try:
-            alpha, f_new = line_search(f, x, d, fx, g, opts)
+            alpha, f_new = line_search(f, x, d, fx, g)
         except LineSearchError:
             break
         x_new = x + alpha * d
         g_new = np.asarray(grad(x_new), dtype=float)
-        grad_calls += 1
         trajectory.append(x_new.copy())
         iterations += 1
         s = x_new - x
@@ -208,6 +204,5 @@ def bfgs_minimize(f, grad, x0, opts=None):
         f_opt=fx,
         iterations=iterations,
         trajectory=np.array(trajectory),
-        grad_calls=grad_calls,
         converged=converged,
     )

@@ -173,10 +173,12 @@ class TestRotationScan:
         assert rho < -0.3
 
     def test_invalid_arguments_rejected(self):
-        with pytest.raises(ValueError):
-            bench.run_rotation_scan(angle_step=0.0)
-        with pytest.raises(ValueError):
-            bench.run_rotation_scan(x=np.zeros(3))
+        for angle_step in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                bench.run_rotation_scan(angle_step=angle_step)
+        for x in (np.zeros(3), (np.nan, 0.4), (-0.29, np.inf)):
+            with pytest.raises(ValueError):
+                bench.run_rotation_scan(x=x)
 
 
 class TestHessianDemo:

@@ -44,6 +44,10 @@ class TestBenchCommand:
          "central2", "--out", "x.csv"],
         ["bench", "--function", "rosenbrock2d", "--dim", "2", "--step", "-1",
          "--out", "x.csv"],
+        ["bench", "--function", "rosenbrock2d", "--dim", "2", "--step", "inf",
+         "--out", "x.csv"],
+        ["bench", "--function", "rosenbrock2d", "--dim", "2", "--step", "nan",
+         "--out", "x.csv"],
         ["bench", "--function", "rosenbrock2d", "--dim", "2", "--reps", "0",
          "--out", "x.csv"],
         ["bench", "--function", "rosenbrock2d", "--dim", "2", "--seed", "-3",
@@ -72,6 +76,10 @@ class TestRotateCommand:
         ["rotate", "--x0", "1.0", "--out", "x.csv"],
         ["rotate", "--x0", "a,b", "--out", "x.csv"],
         ["rotate", "--angle-step", "0", "--out", "x.csv"],
+        ["rotate", "--angle-step", "nan", "--out", "x.csv"],
+        ["rotate", "--angle-step", "inf", "--out", "x.csv"],
+        ["rotate", "--x0", "nan,0.4", "--out", "x.csv"],
+        ["rotate", "--x0=-0.29,inf", "--out", "x.csv"],
         ["rotate", "--step", "-1e-3", "--out", "x.csv"],
     ])
     def test_invalid_arguments_exit_2(self, argv):

@@ -50,7 +50,7 @@ class TestFdScheme:
         with pytest.raises(ValueError):
             FdScheme(kind="forward", order=4)
 
-    @pytest.mark.parametrize("step", [0.0, -1e-3])
+    @pytest.mark.parametrize("step", [0.0, -1e-3, np.inf, np.nan])
     def test_nonpositive_step_rejected(self, step):
         with pytest.raises(ValueError):
             FdScheme(step=step)

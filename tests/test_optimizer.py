@@ -3,6 +3,8 @@ import pytest
 
 from gradbench.finite_difference import FdScheme, ObjectiveFn
 from gradbench.optimizer import (
+    WOLFE_C1,
+    WOLFE_C2,
     BfgsOptions,
     LineSearchError,
     bfgs_minimize,
@@ -16,12 +18,12 @@ from gradbench.testbed import (
 )
 
 
-def wolfe_holds(f, grad, x, d, alpha, opts):
+def wolfe_holds(f, grad, x, d, alpha):
     """Check the strong Wolfe inequalities with the analytic gradient."""
     f0 = f(x)
     dphi0 = grad(x) @ d
-    armijo = f(x + alpha * d) <= f0 + opts.wolfe_c1 * alpha * dphi0
-    curvature = abs(grad(x + alpha * d) @ d) <= -opts.wolfe_c2 * dphi0
+    armijo = f(x + alpha * d) <= f0 + WOLFE_C1 * alpha * dphi0
+    curvature = abs(grad(x + alpha * d) @ d) <= -WOLFE_C2 * dphi0
     return armijo and curvature
 
 
@@ -30,18 +32,13 @@ class TestBfgsOptions:
         opts = BfgsOptions()
         assert opts.max_iters == 200
         assert opts.grad_tol == 1e-6
-        assert opts.wolfe_c1 == 1e-4
-        assert opts.wolfe_c2 == 0.9
-        assert opts.initial_inverse_hessian == 1.0
 
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"wolfe_c1": 0.0},
-            {"wolfe_c1": 0.95},  # c1 >= c2
-            {"wolfe_c2": 1.0},
             {"max_iters": 0},
-            {"initial_inverse_hessian": 0.0},
+            {"grad_tol": -1e-6},
+            {"grad_tol": float("nan")},
         ],
     )
     def test_invalid_options_rejected(self, kwargs):
@@ -56,7 +53,7 @@ class TestLineSearch:
         x = np.array([1.0, -2.0])
         g = A @ x
         d = -np.linalg.solve(A, g)
-        alpha, f_a = line_search(f, x, d, f(x), g, BfgsOptions())
+        alpha, f_a = line_search(f, x, d, f(x), g)
         assert abs(alpha - 1.0) < 1e-6
         assert f_a == pytest.approx(f(x + alpha * d))
 
@@ -65,31 +62,27 @@ class TestLineSearch:
         grad = lambda x: np.array([2.0 * x[0]])
         x = np.array([1.0])
         d = np.array([-1.0])
-        opts = BfgsOptions()
-        alpha, _ = line_search(f, x, d, f(x), grad(x), opts)
+        alpha, _ = line_search(f, x, d, f(x), grad(x))
         assert 0.0 < alpha < 2.0
-        assert wolfe_holds(f, grad, x, d, alpha, opts)
+        assert wolfe_holds(f, grad, x, d, alpha)
 
     def test_fd_curvature_path_satisfies_wolfe(self):
         # curvature decisions come from differences of f only
         x = np.array([-1.2, 1.0])
         g = rosenbrock2d_grad(x)
         d = -g
-        opts = BfgsOptions()
-        alpha, _ = line_search(rosenbrock2d, x, d, rosenbrock2d(x), g, opts)
-        assert wolfe_holds(rosenbrock2d, rosenbrock2d_grad, x, d, alpha, opts)
+        alpha, _ = line_search(rosenbrock2d, x, d, rosenbrock2d(x), g)
+        assert wolfe_holds(rosenbrock2d, rosenbrock2d_grad, x, d, alpha)
 
     def test_non_descent_direction_rejected(self):
         f = lambda x: float(x[0] ** 2)
         with pytest.raises(ValueError):
-            line_search(f, np.array([1.0]), np.array([1.0]), 1.0,
-                        np.array([2.0]), BfgsOptions())
+            line_search(f, np.array([1.0]), np.array([1.0]), 1.0, np.array([2.0]))
 
     def test_unbounded_descent_fails(self):
         f = lambda x: float(x[0])
         with pytest.raises(LineSearchError):
-            line_search(f, np.array([0.0]), np.array([-1.0]), 0.0,
-                        np.array([1.0]), BfgsOptions(), max_expansions=20)
+            line_search(f, np.array([0.0]), np.array([-1.0]), 0.0, np.array([1.0]))
 
 
 class TestBfgsMinimize:
@@ -145,7 +138,6 @@ class TestBfgsMinimize:
         f = ObjectiveFn(rosenbrock2d, 2)
         res = bfgs_minimize(f, counting_grad, np.array([-1.2, 1.0]), BfgsOptions())
         assert len(calls) == len(res.trajectory)
-        assert res.grad_calls == len(calls)
         for called, accepted in zip(calls, res.trajectory):
             np.testing.assert_array_equal(called, accepted)
 
