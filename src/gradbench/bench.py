@@ -7,6 +7,7 @@ digits, so identical invocations produce byte-identical files.
 """
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,10 +126,8 @@ def _recorded_run(test_fn, x0, scheme, method):
 
     def recording_grad(x):
         values = inner(x)
-        exact = test_fn.grad(x)
-        rows.append(
-            (len(rows), grad_mse(values, exact), float(np.linalg.norm(exact)))
-        )
+        exact = np.asarray(test_fn.grad(x), dtype=float)
+        rows.append((len(rows), grad_mse(values, exact), math.sqrt(exact @ exact)))
         return values
 
     bfgs_minimize(objective, recording_grad, x0)

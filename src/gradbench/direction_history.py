@@ -2,9 +2,14 @@
 
 The history holds an n x n orthonormal matrix.  Folding in a new iterate
 difference pushes it into the leading column; the previously accumulated
-directions shift back one slot and are re-orthonormalized against it by
-Householder QR.  Storage never grows past the one matrix.
+directions shift back one slot and are re-orthonormalized against it by a
+rank-one update of the basis, O(n^2) per step (the QR-updating form of
+Daniel, Gragg, Kaufman & Stewart, *Math. Comp.* 30 (1976); Golub & Van
+Loan, *Matrix Computations*, section 6.5).  Storage never grows past the
+one matrix.
 """
+
+import math
 
 import numpy as np
 
@@ -53,12 +58,48 @@ def mgs_orthonormalize(matrix):
     return BasisMatrix(Q, orthonormal=True)
 
 
+def _push_leading(Q, u, tol):
+    """Orthonormalize [u, Q[:, :n-1]] in O(n^2), or None when it is degenerate.
+
+    Q is orthonormal and u a unit vector.  With c = Q^T u and the suffix sums
+    s_j = sum_{k>=j} c_k^2, the result is [u, Q P'], where column j of P'
+    (j = 0..n-2) is sqrt(s_{j+1}/s_j) e_j - c_j / sqrt(s_j s_{j+1}) times c
+    restricted to k > j: the normalized component of e_j orthogonal to c and
+    e_0..e_{j-1}.  In exact arithmetic this is the Householder QR of
+    [u, Q[:, :n-1]] with diag(R) >= 0, and sqrt(s_{j+1}/s_j) is the residual
+    of its column j + 1.  None is returned when a residual is at or below tol.
+
+    Column 0 is u itself, not Q c, and c is renormalized.  Either keeps
+    ||G^T G - I||_inf bounded over any number of updates; without both it
+    grows geometrically.
+    """
+    c = Q.T @ u
+    c /= math.sqrt(c @ c)
+    s = np.cumsum((c * c)[::-1])[::-1]
+    head, tail = s[:-1], s[1:]
+    if not (tail > tol * tol * head).all():
+        return None
+    # tails[:, k] = sum_{m>=k} c_m Q[:, m]
+    tails = np.cumsum((Q * c)[:, ::-1], axis=1)[:, ::-1]
+    G = np.empty_like(Q)
+    G[:, 0] = u
+    G[:, 1:] = Q[:, :-1] * np.sqrt(tail / head) - tails[:, 1:] * (
+        c[:-1] / np.sqrt(head * tail)
+    )
+    return G
+
+
 class DirectionHistory:
     """Orthonormal basis built from the most recent iterate differences.
 
     A fresh history starts at the identity.  update() folds in one
     difference vector; differences with norm at most 1e-14 are ignored so
     re-evaluating an optimizer at the same point never corrupts the basis.
+    The new basis is [delta/|delta|, older directions re-orthonormalized
+    behind it], taken by a rank-one update; when delta or an older direction
+    is dependent on those before it within 1e-10 (relative to the largest
+    column), mgs_orthonormalize handles the step instead and substitutes
+    spare canonical axes for the dependent columns.
     """
 
     def __init__(self, dim):
@@ -74,10 +115,17 @@ class DirectionHistory:
             raise ValueError(f"expected a difference vector of length {self.dim}")
         if not np.isfinite(delta).all():
             raise ValueError("difference vector must be finite")
-        if np.linalg.norm(delta) <= _ZERO_STEP_TOL:
+        norm = math.sqrt(delta @ delta)
+        if norm <= _ZERO_STEP_TOL:
             return self  # no movement: keep the current basis
-        candidate = np.column_stack([delta, self.basis.matrix[:, : self.dim - 1]])
-        self.basis = mgs_orthonormalize(candidate)
+        Q = self.basis.matrix
+        candidate = np.column_stack([delta, Q[:, : self.dim - 1]])
+        tol = _dependence_tol(candidate)
+        G = _push_leading(Q, delta / norm, tol) if norm > tol else None
+        if G is None:
+            self.basis = mgs_orthonormalize(candidate)
+        else:
+            self.basis = BasisMatrix(G, orthonormal=True)
         self.updates_seen += 1
         return self
 

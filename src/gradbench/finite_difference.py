@@ -7,6 +7,7 @@ Each stencil's points are stacked into one C-contiguous matrix, one point
 per row, and evaluated by ObjectiveFn.eval_rows in a single call.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,7 +168,10 @@ class BasisMatrix:
         return self.matrix.shape[0]
 
     @classmethod
+    @functools.lru_cache(maxsize=16)
     def identity(cls, n):
+        """The n x n identity basis.  Built once per n and shared (it is
+        read-only); the 16 most recently used dimensions are kept."""
         return cls(np.eye(n), orthonormal=True)
 
     @classmethod

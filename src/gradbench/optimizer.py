@@ -4,7 +4,9 @@ The gradient callback is invoked exactly once per accepted iterate
 (including the starting point), never at rejected trial points: the line
 search works from function values alone, checking the curvature condition
 with one-dimensional central differences along the search ray.  This keeps
-stateful gradient callbacks fed with genuine accepted steps.
+stateful gradient callbacks fed with genuine accepted steps.  The two
+points of each such difference go to the objective as one batch of two
+rows (ObjectiveFn.eval_rows).
 
 The line-search constants are fixed at the standard quasi-Newton values
 (Nocedal & Wright, *Numerical Optimization*, 2nd ed., section 3.1):
@@ -14,9 +16,12 @@ the unit step is usually accepted.  A search doubles its trial step at most
 steepest descent, starts from the identity inverse Hessian.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .finite_difference import ObjectiveFn
 
 WOLFE_C1 = 1e-4
 WOLFE_C2 = 0.9
@@ -49,6 +54,8 @@ class OptimResult:
     iterations: int
     trajectory: np.ndarray  # accepted iterates, row 0 is the starting point
     converged: bool
+    # why the run stopped: "grad_tol", "max_iters" or "line_search: <message>"
+    reason: str
 
 
 def line_search(f, x, d, f0, g0):
@@ -56,8 +63,10 @@ def line_search(f, x, d, f0, g0):
 
     Bracketing with doubling trial steps starting at 1, then a zoom phase
     with safeguarded quadratic interpolation.  The curvature condition is
-    checked with central differences of a -> f(x + a d); g0 is the gradient
-    at x and gives the slope at a = 0.
+    checked with central differences of a -> f(x + a d), whose two points
+    are evaluated as one batch; g0 is the gradient at x and gives the slope
+    at a = 0.  f may be an ObjectiveFn or a plain callable, which is
+    wrapped in one.
 
     Returns (alpha, f(x + alpha d)).  Raises ValueError when d is not a
     descent direction and LineSearchError when no acceptable step exists
@@ -67,13 +76,17 @@ def line_search(f, x, d, f0, g0):
     dphi0 = float(np.dot(g0, d))
     if dphi0 >= 0.0:
         raise ValueError("d is not a descent direction")
+    if not isinstance(f, ObjectiveFn):
+        f = ObjectiveFn(f, d.size)
 
     def phi(a):
         return f(x + a * d)
 
     def dphi(a):
         step = _CURVATURE_FD_STEP * max(1.0, abs(a))
-        return (phi(a + step) - phi(a - step)) / (2.0 * step)
+        # rows x + (a + step) d and x + (a - step) d, computed as phi computes x + a d
+        plus, minus = f.eval_rows(x + np.array([[a + step], [a - step]]) * d)
+        return (plus - minus) / (2.0 * step)
 
     alpha_prev, phi_prev, dphi_prev = 0.0, f0, dphi0
     alpha = 1.0
@@ -162,7 +175,7 @@ def bfgs_minimize(f, grad, x0, opts=None):
     s.y fails to clear 1e-10 * |s| * |y|, which keeps the approximation
     positive definite under noisy finite-difference gradients.  A failed
     line search terminates the run with the best iterate so far and
-    converged=False.
+    converged=False; `reason` records which test stopped the run.
     """
     if opts is None:
         opts = BfgsOptions()
@@ -174,8 +187,9 @@ def bfgs_minimize(f, grad, x0, opts=None):
     g = np.asarray(grad(x), dtype=float)
     trajectory = [x.copy()]
     eye = H = np.eye(n)
-    converged = bool(np.max(np.abs(g)) <= opts.grad_tol)
+    converged = bool(np.abs(g).max() <= opts.grad_tol)
     iterations = 0
+    reason = "max_iters"
     while not converged and iterations < opts.max_iters:
         d = -(H @ g)
         if float(np.dot(g, d)) >= 0.0:
@@ -184,7 +198,8 @@ def bfgs_minimize(f, grad, x0, opts=None):
             d = -g
         try:
             alpha, f_new = line_search(f, x, d, fx, g)
-        except LineSearchError:
+        except LineSearchError as exc:
+            reason = f"line_search: {exc}"
             break
         x_new = x + alpha * d
         g_new = np.asarray(grad(x_new), dtype=float)
@@ -193,16 +208,17 @@ def bfgs_minimize(f, grad, x0, opts=None):
         s = x_new - x
         y = g_new - g
         sy = float(np.dot(s, y))
-        if sy > _CURVATURE_RTOL * np.linalg.norm(s) * np.linalg.norm(y):
+        if sy > _CURVATURE_RTOL * math.sqrt(s @ s) * math.sqrt(y @ y):
             rho = 1.0 / sy
-            V = eye - rho * np.outer(s, y)
-            H = V @ H @ V.T + rho * np.outer(s, s)
+            V = eye - rho * (s[:, None] * y)
+            H = V @ H @ V.T + rho * (s[:, None] * s)
         x, fx, g = x_new, f_new, g_new
-        converged = bool(np.max(np.abs(g)) <= opts.grad_tol)
+        converged = bool(np.abs(g).max() <= opts.grad_tol)
     return OptimResult(
         x_opt=x,
         f_opt=fx,
         iterations=iterations,
         trajectory=np.array(trajectory),
         converged=converged,
+        reason="grad_tol" if converged else reason,
     )

@@ -57,7 +57,7 @@ def rosenbrock_pairwise(x):
     x = np.asarray(x, dtype=float)
     _require_even(x.shape[-1], "rosenbrock-pairwise")
     a, b = x[..., 0::2], x[..., 1::2]
-    return np.sum(100.0 * (b - a * a) ** 2 + (1.0 - a) ** 2, axis=-1)
+    return (100.0 * (b - a * a) ** 2 + (1.0 - a) ** 2).sum(axis=-1)
 
 
 rosenbrock_pairwise.batched = True
@@ -79,7 +79,7 @@ def rosenbrock_chained(x):
     if x.shape[-1] < 2:
         raise ValueError("rosenbrock-chained requires dimension >= 2")
     head, tail = x[..., :-1], x[..., 1:]
-    return np.sum(100.0 * (tail - head ** 2) ** 2 + (1.0 - head) ** 2, axis=-1)
+    return (100.0 * (tail - head ** 2) ** 2 + (1.0 - head) ** 2).sum(axis=-1)
 
 
 rosenbrock_chained.batched = True
@@ -103,7 +103,7 @@ def freudenstein_roth(x):
     a, b = x[..., 0::2], x[..., 1::2]
     r1 = -13.0 + a + b * (b * (5.0 - b) - 2.0)
     r2 = -29.0 + a + b * (b * (b + 1.0) - 14.0)
-    return np.sum(r1 * r1 + r2 * r2, axis=-1)
+    return (r1 * r1 + r2 * r2).sum(axis=-1)
 
 
 freudenstein_roth.batched = True
@@ -130,7 +130,7 @@ def grad_mse(estimate, exact):
     if e.shape != t.shape:
         raise ValueError("gradient vectors must have equal length")
     diff = e - t
-    return float(np.mean(diff * diff))
+    return float((diff * diff).mean())
 
 
 @dataclass(frozen=True)

@@ -162,6 +162,43 @@ class TestDirectionHistory:
         with pytest.raises(ValueError):
             DirectionHistory(3).update(np.ones(2))
 
+    @pytest.mark.parametrize("norm", [2e-14, 1e-12, 9e-11])
+    def test_tiny_step_puts_first_axis_in_front(self, norm):
+        # A step above the 1e-14 no-movement threshold but at or below the
+        # 1e-10 dependence tolerance is itself degenerate: the leading
+        # column becomes e_0 (no column before it, so every axis ties), not
+        # the step's direction, and the older directions follow behind it.
+        rng = np.random.default_rng(8)
+        n = 5
+        hist = DirectionHistory(n)
+        for _ in range(3):
+            hist.update(rng.standard_normal(n))
+        before = hist.basis.matrix.copy()
+        delta = rng.standard_normal(n)
+        delta *= norm / np.linalg.norm(delta)
+        hist.update(delta)
+        assert hist.updates_seen == 4
+        Q = hist.basis.matrix
+        np.testing.assert_allclose(Q[:, 0], np.eye(n)[0], rtol=0, atol=1e-15)
+        reference, _ = reference_mgs(np.column_stack([delta, before[:, : n - 1]]))
+        np.testing.assert_allclose(Q, reference, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("n", [2, 5, 25, 30])
+    def test_no_drift_over_many_updates(self, n):
+        # Each update builds on the last, so rounding in one basis is
+        # carried into every later one; it must not accumulate.
+        rng = np.random.default_rng(n)
+        hist = DirectionHistory(n)
+        for _ in range(2000):
+            before = hist.basis.matrix
+            delta = rng.standard_normal(n)
+            hist.update(delta)
+            Q = hist.basis.matrix
+            assert orthonormality_defect(Q) <= 1e-13
+            M = np.column_stack([delta, before[:, : n - 1]])
+            reference, _ = reference_mgs(M)
+            assert np.abs(Q - reference).max() <= 1e-13 * np.linalg.cond(M)
+
 
 class TestAgreesWithReferenceMgs:
     """The Householder QR against the column-by-column MGS it replaced."""

@@ -168,6 +168,15 @@ class TestBasisMatrix:
         with pytest.raises(ValueError):
             basis.matrix[0, 0] = 5.0
 
+    def test_identity_is_built_once_per_dimension(self):
+        basis = BasisMatrix.identity(6)
+        assert BasisMatrix.identity(6) is basis
+        assert BasisMatrix.identity(5) is not basis
+        assert not basis.matrix.flags.writeable
+        with pytest.raises(ValueError):
+            basis.matrix[1, 1] = 0.0
+        np.testing.assert_array_equal(BasisMatrix.identity(6).matrix, np.eye(6))
+
 
 class TestDirectionalDerivative:
     def test_linear_exact(self):

@@ -12,6 +12,7 @@ from gradbench.optimizer import (
 )
 from gradbench.smart_estimator import wrap
 from gradbench.testbed import (
+    get_test_function,
     rosenbrock2d,
     rosenbrock2d_grad,
     rosenbrock_chained,
@@ -83,6 +84,37 @@ class TestLineSearch:
         f = lambda x: float(x[0])
         with pytest.raises(LineSearchError):
             line_search(f, np.array([0.0]), np.array([-1.0]), 0.0, np.array([1.0]))
+
+    @pytest.mark.parametrize(
+        "name, dim", [("rosenbrock-chained", 25), ("freudenstein-roth", 26)]
+    )
+    def test_batched_and_row_by_row_objectives_agree_bitwise(self, name, dim):
+        # The curvature probe's two points go to a batched objective as one
+        # call; unbatched and plain callables see them one at a time.
+        tf = get_test_function(name, dim)
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            x = tf.optimum + rng.standard_normal(dim)
+            g = tf.grad(x)
+            d = -g * 10.0 ** rng.uniform(-4.0, 0.0)
+            f0 = tf.fn(x)
+            batched = ObjectiveFn(tf.fn, dim)
+            unbatched = ObjectiveFn(lambda z: tf.fn(z), dim)
+            plain_calls = []
+
+            def plain(z):
+                plain_calls.append(None)
+                return tf.fn(z)
+
+            def outcome(f):
+                try:
+                    return line_search(f, x, d, f0, g)
+                except LineSearchError as exc:
+                    return str(exc)
+
+            results = [outcome(batched), outcome(unbatched), outcome(plain)]
+            assert results[0] == results[1] == results[2]
+            assert batched.eval_count == unbatched.eval_count == len(plain_calls)
 
 
 class TestBfgsMinimize:
@@ -165,6 +197,30 @@ class TestBfgsMinimize:
         res = bfgs_minimize(f, grad, np.zeros(2), BfgsOptions())
         assert not res.converged
         assert len(res.trajectory) == res.iterations + 1
+
+    @pytest.mark.parametrize("x0, at_start", [([-1.2, 1.0], False), ([1.0, 1.0], True)])
+    def test_reason_grad_tol(self, x0, at_start):
+        f = ObjectiveFn(rosenbrock2d, 2)
+        res = bfgs_minimize(f, rosenbrock2d_grad, np.array(x0), BfgsOptions())
+        assert res.converged
+        assert (res.iterations == 0) == at_start
+        assert res.reason == "grad_tol"
+
+    def test_reason_max_iters(self):
+        f = ObjectiveFn(rosenbrock2d, 2)
+        res = bfgs_minimize(
+            f, rosenbrock2d_grad, np.array([-1.2, 1.0]), BfgsOptions(max_iters=3)
+        )
+        assert not res.converged
+        assert res.iterations == 3
+        assert res.reason == "max_iters"
+
+    def test_reason_line_search(self):
+        a = np.array([1.0, -2.0])
+        f = ObjectiveFn(lambda x: float(a @ x), 2)
+        res = bfgs_minimize(f, lambda x: a, np.zeros(2), BfgsOptions())
+        assert not res.converged
+        assert res.reason == "line_search: no bracket found after 50 expansions"
 
     def test_deterministic(self):
         f1 = ObjectiveFn(rosenbrock2d, 2)
