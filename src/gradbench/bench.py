@@ -109,8 +109,22 @@ def _resolve_function(function, dim):
     return get_test_function(function, dim)
 
 
+def _analytic_grads(test_fn, points):
+    """The analytic gradient at each row of `points`: one call when the
+    gradient is marked batched (as the testbed's are), else one per row."""
+    if getattr(test_fn.grad, "batched", False):
+        return np.asarray(test_fn.grad(points), dtype=float)
+    return np.array([test_fn.grad(x) for x in points], dtype=float)
+
+
 def _recorded_run(test_fn, x0, scheme, method):
-    """One BFGS run; returns (iteration, mse, grad_norm) per gradient call."""
+    """One BFGS run; returns (iteration, mse, grad_norm) per gradient call.
+
+    The gradient callback only keeps its estimates; they are scored after
+    the run.  The optimizer calls it once per accepted iterate, so row i of
+    the run's trajectory is the point of estimate i, and all the analytic
+    gradients and MSEs of a run are taken in one batch each.
+    """
     objective = ObjectiveFn(test_fn.fn, test_fn.dim)
     if method == "smart":
         inner = wrap(objective, scheme)
@@ -122,16 +136,18 @@ def _recorded_run(test_fn, x0, scheme, method):
     else:
         raise ValueError(f"unknown method {method!r}")
 
-    rows = []
+    estimates = []
 
     def recording_grad(x):
         values = inner(x)
-        exact = np.asarray(test_fn.grad(x), dtype=float)
-        rows.append((len(rows), grad_mse(values, exact), math.sqrt(exact @ exact)))
+        estimates.append(values)
         return values
 
-    bfgs_minimize(objective, recording_grad, x0)
-    return rows
+    result = bfgs_minimize(objective, recording_grad, x0)
+    exact = _analytic_grads(test_fn, result.trajectory)
+    mses = grad_mse(np.array(estimates), exact).tolist()
+    # one dot per row: a batched sum of squares would add in another order
+    return [(i, mse, math.sqrt(e @ e)) for i, (mse, e) in enumerate(zip(mses, exact))]
 
 
 def run_comparison(function, dim, reps=100, seed=0, scheme=None):
@@ -152,18 +168,10 @@ def run_comparison(function, dim, reps=100, seed=0, scheme=None):
     for rep in range(reps):
         x0 = _draw_start(seed, rep, dim)
         for method in METHODS:
-            for iteration, mse, grad_norm in _recorded_run(test_fn, x0, scheme, method):
-                records.append(
-                    BenchRecord(
-                        function=test_fn.name,
-                        dim=dim,
-                        rep=rep,
-                        iteration=iteration,
-                        method=method,
-                        mse=mse,
-                        grad_norm=grad_norm,
-                    )
-                )
+            records.extend(
+                BenchRecord(test_fn.name, dim, rep, iteration, method, mse, grad_norm)
+                for iteration, mse, grad_norm in _recorded_run(test_fn, x0, scheme, method)
+            )
     records.sort(key=lambda r: (r.rep, r.iteration, r.method))
     return records
 
@@ -273,30 +281,31 @@ def write_bench_csv(records, path):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(BENCH_CSV_COLUMNS)
-        for r in records:
-            writer.writerow(
-                [r.function, r.dim, r.rep, r.iteration, r.method,
-                 _g17(r.mse), _g17(r.grad_norm)]
-            )
+        writer.writerows(
+            (r.function, r.dim, r.rep, r.iteration, r.method, _g17(r.mse), _g17(r.grad_norm))
+            for r in records
+        )
 
 
 def read_bench_csv(path):
-    """Read records written by write_bench_csv."""
-    records = []
+    """Read records written by write_bench_csv.
+
+    Columns are found by their header names, in any order; extra columns
+    and blank lines are ignored.  Raises ValueError when a column is missing.
+    """
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            records.append(
-                BenchRecord(
-                    function=row["function"],
-                    dim=int(row["dim"]),
-                    rep=int(row["rep"]),
-                    iteration=int(row["iteration"]),
-                    method=row["method"],
-                    mse=float(row["mse"]),
-                    grad_norm=float(row["grad_norm"]),
-                )
-            )
-    return records
+        rows = csv.reader(fh)
+        index = {name: i for i, name in enumerate(next(rows, ()))}
+        missing = [name for name in BENCH_CSV_COLUMNS if name not in index]
+        if missing:
+            raise ValueError(f"{path}: missing column(s) {', '.join(missing)}")
+        fn, dim, rep, it, method, mse, norm = (index[name] for name in BENCH_CSV_COLUMNS)
+        return [
+            BenchRecord(row[fn], int(row[dim]), int(row[rep]), int(row[it]),
+                        row[method], float(row[mse]), float(row[norm]))
+            for row in rows
+            if row  # a blank line, as csv.DictReader skips them
+        ]
 
 
 def write_rotate_csv(records, path):

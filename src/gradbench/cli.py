@@ -125,7 +125,7 @@ def _cmd_hessian(parser, args):
 def _cmd_summarize(parser, args):
     try:
         records = bench.read_bench_csv(args.in_path)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         parser.error(str(exc))
     try:
         summary = bench.summarize(records)

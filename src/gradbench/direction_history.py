@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .finite_difference import BasisMatrix, _dependence_tol, _householder_qr
+from .finite_difference import _DEPENDENCE_RTOL, BasisMatrix, _dependence_tol, _householder_qr
 
 _ZERO_STEP_TOL = 1e-14
 
@@ -89,6 +89,20 @@ def _push_leading(Q, u, tol):
     return G
 
 
+def _candidate_tol(delta, Q):
+    """_dependence_tol of [delta, Q[:, :n-1]], bit for bit, without stacking it.
+
+    np.linalg.norm(M, axis=0) adds each column of a C-contiguous M in row
+    order, as np.add.reduce(axis=0) does for Q's columns and np.cumsum for
+    delta (a 1-D sum would add delta pairwise and round differently).  The
+    square root is monotone, so the root of the largest sum is the largest
+    column norm.
+    """
+    q = Q[:, :-1]
+    largest = np.add.reduce(q * q, axis=0).max(initial=np.cumsum(delta * delta)[-1])
+    return _DEPENDENCE_RTOL * math.sqrt(largest)
+
+
 class DirectionHistory:
     """Orthonormal basis built from the most recent iterate differences.
 
@@ -119,11 +133,10 @@ class DirectionHistory:
         if norm <= _ZERO_STEP_TOL:
             return self  # no movement: keep the current basis
         Q = self.basis.matrix
-        candidate = np.column_stack([delta, Q[:, : self.dim - 1]])
-        tol = _dependence_tol(candidate)
+        tol = _candidate_tol(delta, Q)
         G = _push_leading(Q, delta / norm, tol) if norm > tol else None
         if G is None:
-            self.basis = mgs_orthonormalize(candidate)
+            self.basis = mgs_orthonormalize(np.column_stack([delta, Q[:, :-1]]))
         else:
             self.basis = BasisMatrix(G, orthonormal=True)
         self.updates_seen += 1

@@ -72,6 +72,7 @@ class ObjectiveFn:
         if dim < 1:
             raise ValueError("dim must be a positive integer")
         self._fn = fn
+        self._batched = bool(getattr(fn, "batched", False))
         self.dim = int(dim)
         self.eval_count = 0
 
@@ -90,7 +91,7 @@ class ObjectiveFn:
         X = np.ascontiguousarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.dim:
             raise ValueError(f"expected an (m, {self.dim}) matrix, got shape {X.shape}")
-        if not getattr(self._fn, "batched", False):
+        if not self._batched:
             return np.array([self(row) for row in X])
         m = X.shape[0]
         self.eval_count += m
@@ -104,8 +105,9 @@ class ObjectiveFn:
 
 def _orthonormality_defect(G):
     """Infinity norm of G^T G - I (max absolute row sum)."""
-    E = G.T @ G - np.eye(G.shape[1])
-    return float(np.abs(E).sum(axis=1).max())
+    E = G.T @ G
+    E.flat[:: E.shape[0] + 1] -= 1.0  # minus I, on the diagonal in place
+    return float(np.abs(E, out=E).sum(axis=1).max())
 
 
 def _householder_qr(M):
@@ -214,20 +216,33 @@ def directional_derivative(f, x, u, scheme=FdScheme()):
 def _gradient_along_columns(f, x, columns, scheme):
     """Finite-difference gradient of phi -> f(x + columns @ phi) at phi = 0.
 
-    The stencil's points go to f as one batch: row blocks of n points, one
-    per stencil offset (forward differences put f(x) in row 0).
+    The stencil's points go to f as one batch, written into one matrix:
+    row blocks of n points, one per stencil offset (forward differences put
+    f(x) in row 0).
     """
     h = scheme.step
     U = columns.T  # row i is the direction columns[:, i]
+    n = U.shape[0]
     if scheme.kind == "forward":
-        F = f.eval_rows(np.vstack([x, x + h * U]))
+        P = np.empty((n + 1, x.size))
+        P[0] = x
+        np.add(x, h * U, out=P[1:])
+        F = f.eval_rows(P)
         return (F[1:] - F[0]) / h
     if scheme.order == 1:
-        plus, minus = f.eval_rows(np.vstack([x + h * U, x - h * U])).reshape(2, -1)
+        hU = h * U
+        P = np.empty((2 * n, x.size))
+        np.add(x, hU, out=P[:n])
+        np.subtract(x, hU, out=P[n:])
+        plus, minus = f.eval_rows(P).reshape(2, -1)
         return (plus - minus) / (2.0 * h)
-    plus2, plus, minus, minus2 = f.eval_rows(
-        np.vstack([x + 2.0 * h * U, x + h * U, x - h * U, x - 2.0 * h * U])
-    ).reshape(4, -1)
+    hU, h2U = h * U, 2.0 * h * U
+    P = np.empty((4 * n, x.size))
+    np.add(x, h2U, out=P[:n])
+    np.add(x, hU, out=P[n:2 * n])
+    np.subtract(x, hU, out=P[2 * n:3 * n])
+    np.subtract(x, h2U, out=P[3 * n:])
+    plus2, plus, minus, minus2 = f.eval_rows(P).reshape(4, -1)
     return (-plus2 + 8.0 * plus - 8.0 * minus + minus2) / (12.0 * h)
 
 

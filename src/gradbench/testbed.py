@@ -2,9 +2,12 @@
 
 The four objectives are batched: each takes points along its trailing axis,
 input (..., n) and output (...), so a 1-D point is a batch of one, and is
-marked `batched = True` for ObjectiveFn.eval_rows.  Each point's value is
+marked `batched = True` for ObjectiveFn.eval_rows.  Their analytic
+gradients are batched the same way, input (..., n) and output (..., n),
+and grad_mse reduces over the trailing axis.  Each point's value is
 computed with the same operations in the same order as for that point
-alone, provided the batch is C-contiguous.  The gradients take one point.
+alone, provided the batch is C-contiguous, so a batch gives the same bits
+as one call per point.
 """
 
 from dataclasses import dataclass
@@ -43,13 +46,15 @@ rosenbrock2d.batched = True
 
 
 def rosenbrock2d_grad(x):
-    x1, x2 = float(x[0]), float(x[1])
-    return np.array(
-        [
-            -2.0 * (1.0 - x1) - 400.0 * x1 * (x2 - x1 * x1),
-            200.0 * (x2 - x1 * x1),
-        ]
-    )
+    x = np.asarray(x, dtype=float)
+    x1, x2 = x[..., 0], x[..., 1]
+    g = np.empty_like(x)
+    g[..., 0] = -2.0 * (1.0 - x1) - 400.0 * x1 * (x2 - x1 * x1)
+    g[..., 1] = 200.0 * (x2 - x1 * x1)
+    return g
+
+
+rosenbrock2d_grad.batched = True
 
 
 def rosenbrock_pairwise(x):
@@ -57,7 +62,7 @@ def rosenbrock_pairwise(x):
     x = np.asarray(x, dtype=float)
     _require_even(x.shape[-1], "rosenbrock-pairwise")
     a, b = x[..., 0::2], x[..., 1::2]
-    return (100.0 * (b - a * a) ** 2 + (1.0 - a) ** 2).sum(axis=-1)
+    return np.add.reduce(100.0 * (b - a * a) ** 2 + (1.0 - a) ** 2, axis=-1)
 
 
 rosenbrock_pairwise.batched = True
@@ -65,12 +70,15 @@ rosenbrock_pairwise.batched = True
 
 def rosenbrock_pairwise_grad(x):
     x = np.asarray(x, dtype=float)
-    _require_even(x.size, "rosenbrock-pairwise")
-    a, b = x[0::2], x[1::2]
+    _require_even(x.shape[-1], "rosenbrock-pairwise")
+    a, b = x[..., 0::2], x[..., 1::2]
     g = np.empty_like(x)
-    g[0::2] = -400.0 * a * (b - a * a) - 2.0 * (1.0 - a)
-    g[1::2] = 200.0 * (b - a * a)
+    g[..., 0::2] = -400.0 * a * (b - a * a) - 2.0 * (1.0 - a)
+    g[..., 1::2] = 200.0 * (b - a * a)
     return g
+
+
+rosenbrock_pairwise_grad.batched = True
 
 
 def rosenbrock_chained(x):
@@ -79,7 +87,7 @@ def rosenbrock_chained(x):
     if x.shape[-1] < 2:
         raise ValueError("rosenbrock-chained requires dimension >= 2")
     head, tail = x[..., :-1], x[..., 1:]
-    return (100.0 * (tail - head ** 2) ** 2 + (1.0 - head) ** 2).sum(axis=-1)
+    return np.add.reduce(100.0 * (tail - head ** 2) ** 2 + (1.0 - head) ** 2, axis=-1)
 
 
 rosenbrock_chained.batched = True
@@ -87,13 +95,17 @@ rosenbrock_chained.batched = True
 
 def rosenbrock_chained_grad(x):
     x = np.asarray(x, dtype=float)
-    if x.size < 2:
+    if x.shape[-1] < 2:
         raise ValueError("rosenbrock-chained requires dimension >= 2")
+    head = x[..., :-1]
     g = np.zeros_like(x)
-    t = x[1:] - x[:-1] ** 2
-    g[:-1] += -400.0 * x[:-1] * t - 2.0 * (1.0 - x[:-1])
-    g[1:] += 200.0 * t
+    t = x[..., 1:] - head ** 2
+    g[..., :-1] += -400.0 * head * t - 2.0 * (1.0 - head)
+    g[..., 1:] += 200.0 * t
     return g
+
+
+rosenbrock_chained_grad.batched = True
 
 
 def freudenstein_roth(x):
@@ -103,7 +115,7 @@ def freudenstein_roth(x):
     a, b = x[..., 0::2], x[..., 1::2]
     r1 = -13.0 + a + b * (b * (5.0 - b) - 2.0)
     r2 = -29.0 + a + b * (b * (b + 1.0) - 14.0)
-    return (r1 * r1 + r2 * r2).sum(axis=-1)
+    return np.add.reduce(r1 * r1 + r2 * r2, axis=-1)
 
 
 freudenstein_roth.batched = True
@@ -111,26 +123,35 @@ freudenstein_roth.batched = True
 
 def freudenstein_roth_grad(x):
     x = np.asarray(x, dtype=float)
-    _require_even(x.size, "freudenstein-roth")
-    a, b = x[0::2], x[1::2]
+    _require_even(x.shape[-1], "freudenstein-roth")
+    a, b = x[..., 0::2], x[..., 1::2]
     r1 = -13.0 + a + b * (b * (5.0 - b) - 2.0)
     r2 = -29.0 + a + b * (b * (b + 1.0) - 14.0)
     g = np.empty_like(x)
-    g[0::2] = 2.0 * (r1 + r2)
-    g[1::2] = 2.0 * r1 * (10.0 * b - 3.0 * b * b - 2.0) + 2.0 * r2 * (
+    g[..., 0::2] = 2.0 * (r1 + r2)
+    g[..., 1::2] = 2.0 * r1 * (10.0 * b - 3.0 * b * b - 2.0) + 2.0 * r2 * (
         3.0 * b * b + 2.0 * b - 14.0
     )
     return g
 
 
+freudenstein_roth_grad.batched = True
+
+
 def grad_mse(estimate, exact):
-    """Mean squared componentwise difference between two gradient vectors."""
+    """Mean squared componentwise difference between gradient vectors.
+
+    Reduces over the trailing axis: two vectors give a float, two (..., n)
+    stacks an array of shape (...).  For C-contiguous stacks each entry has
+    the same bits as the call on that pair of rows alone.
+    """
     e = np.asarray(estimate, dtype=float)
     t = np.asarray(exact, dtype=float)
     if e.shape != t.shape:
-        raise ValueError("gradient vectors must have equal length")
+        raise ValueError("gradient vectors must have equal shapes")
     diff = e - t
-    return float((diff * diff).mean())
+    mse = (diff * diff).mean(axis=-1)
+    return float(mse) if mse.ndim == 0 else mse
 
 
 @dataclass(frozen=True)

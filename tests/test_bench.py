@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ from scipy import stats
 from gradbench import bench
 from gradbench.bench import BenchRecord
 from gradbench.finite_difference import FdScheme, ObjectiveFn, vanilla_gradient
+from gradbench.optimizer import bfgs_minimize
+from gradbench.smart_estimator import wrap
 from gradbench.testbed import (
     TestFunction,
     get_test_function,
@@ -62,17 +65,43 @@ class TestRunComparison:
         assert all(np.isfinite(r.mse) for r in records)
 
     def test_row_by_row_objective_writes_the_same_csv(self, tmp_path):
-        # an unmarked lambda takes ObjectiveFn's one-call-per-point path,
-        # the registry function the batched path; the CSV must not tell
+        # unmarked lambdas take the one-call-per-point paths of ObjectiveFn
+        # and of the analytic gradient, the registry functions the batched
+        # paths; the CSV must not tell
         registry = get_test_function("rosenbrock-chained", 10)
         unbatched = TestFunction(registry.name, 10, lambda x: registry.fn(x),
-                                 registry.grad, registry.optimum)
+                                 lambda x: registry.grad(x), registry.optimum)
         paths = []
         for function in (registry.name, unbatched):
             paths.append(tmp_path / f"{len(paths)}.csv")
             bench.write_bench_csv(
                 bench.run_comparison(function, 10, reps=4, seed=3), paths[-1])
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    @pytest.mark.parametrize("method", bench.METHODS)
+    def test_rows_equal_scoring_each_iterate_in_the_callback(self, method):
+        # the rows are scored in one batch after the run; scoring each
+        # iterate as the optimizer reaches it must give the same bits
+        test_fn = get_test_function("rosenbrock-chained", 10)
+        x0 = bench._draw_start(0, 0, 10)
+        objective = ObjectiveFn(test_fn.fn, 10)
+        if method == "smart":
+            inner = wrap(objective)
+        else:
+            inner = lambda x: vanilla_gradient(objective, x).values
+        expected = []
+
+        def scoring_grad(x):
+            values = inner(x)
+            exact = test_fn.grad(x)
+            expected.append((len(expected), grad_mse(values, exact),
+                             math.sqrt(exact @ exact)))
+            return values
+
+        bfgs_minimize(objective, scoring_grad, x0)
+        rows = bench._recorded_run(test_fn, x0, FdScheme(), method)
+        assert len(rows) > 10
+        assert repr(rows) == repr(expected)
 
     def test_invalid_arguments_rejected(self):
         with pytest.raises(ValueError):
@@ -209,6 +238,21 @@ class TestCsvIO:
         path = tmp_path / "bench.csv"
         bench.write_bench_csv(records, path)
         assert bench.read_bench_csv(path) == records
+
+    def test_columns_in_any_order(self, tmp_path):
+        records = bench.run_comparison("rosenbrock-chained", 3, reps=1, seed=4)
+        path = tmp_path / "bench.csv"
+        bench.write_bench_csv(records, path)
+        lines = [line.split(",") for line in path.read_text().splitlines()]
+        order = [6, 2, 0, 5, 3, 1, 4]
+        path.write_text("\n".join(",".join(row[i] for i in order) for row in lines) + "\n")
+        assert bench.read_bench_csv(path) == records
+
+    def test_missing_column_is_named(self, tmp_path):
+        path = tmp_path / "bench.csv"
+        path.write_text("function,dim,rep,iteration,method,mse\nf,2,0,0,smart,1.0\n")
+        with pytest.raises(ValueError, match="grad_norm"):
+            bench.read_bench_csv(path)
 
     def test_byte_identical_rewrites(self, tmp_path):
         records = bench.run_comparison("rosenbrock-chained", 3, reps=2, seed=4)

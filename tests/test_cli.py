@@ -116,6 +116,12 @@ class TestSummarizeCommand:
     def test_missing_file_exits_2(self, tmp_path):
         assert run_cli(["summarize", "--in", str(tmp_path / "absent.csv")]) == 2
 
+    def test_missing_column_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "records.csv"
+        path.write_text("function,dim,rep,iteration,method,grad_norm\nf,2,0,0,smart,1.0\n")
+        assert run_cli(["summarize", "--in", str(path)]) == 2
+        assert "mse" in capsys.readouterr().err
+
 
 class TestConsoleEntryPoints:
     def test_module_invocation(self):

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradbench.direction_history import DirectionHistory, mgs_orthonormalize
-from gradbench.finite_difference import BasisMatrix
+from gradbench.direction_history import DirectionHistory, _candidate_tol, mgs_orthonormalize
+from gradbench.finite_difference import BasisMatrix, _dependence_tol
 from oracle import reference_mgs
 
 # derandomized so every run draws the same examples; no example database
@@ -198,6 +198,27 @@ class TestDirectionHistory:
             M = np.column_stack([delta, before[:, : n - 1]])
             reference, _ = reference_mgs(M)
             assert np.abs(Q - reference).max() <= 1e-13 * np.linalg.cond(M)
+
+
+class TestCandidateTolerance:
+    """update() takes the dependence tolerance of [delta, Q[:, :n-1]] from
+    the parts, without stacking them; it must be the stacked one's bits."""
+
+    @pytest.mark.parametrize("n", range(2, 31))
+    def test_equals_tolerance_of_the_stacked_candidate(self, n):
+        rng = np.random.default_rng(n)
+        hist = DirectionHistory(n)
+        for k in range(30):
+            Q = hist.basis.matrix
+            if k % 3 == 0:  # random, with a norm on either side of Q's columns
+                delta = 10.0 ** rng.uniform(-3.0, 3.0) * rng.standard_normal(n)
+            elif k % 3 == 1:  # parallel to a direction already held
+                delta = rng.normal() * Q[:, rng.integers(0, n)]
+            else:  # near zero, down to the step that is ignored
+                delta = 10.0 ** rng.uniform(-13.9, -10.0) * rng.standard_normal(n)
+            expected = _dependence_tol(np.column_stack([delta, Q[:, : n - 1]]))
+            assert _candidate_tol(delta, Q) == expected
+            hist.update(delta)
 
 
 class TestAgreesWithReferenceMgs:

@@ -6,6 +6,7 @@ from gradbench.finite_difference import (
     FdScheme,
     IllConditionedBasisError,
     ObjectiveFn,
+    _orthonormality_defect,
     directional_derivative,
     gradient_in_basis,
     hessian_in_basis,
@@ -167,6 +168,17 @@ class TestBasisMatrix:
         basis = BasisMatrix.identity(2)
         with pytest.raises(ValueError):
             basis.matrix[0, 0] = 5.0
+
+    def test_orthonormality_defect_equals_subtracting_the_identity(self):
+        # the defect subtracts 1 on the diagonal in place; a fresh identity
+        # must give the same bits
+        rng = np.random.default_rng(3)
+        for n in range(1, 31):
+            Q = mgs_orthonormalize(rng.standard_normal((n, n))).matrix
+            for noise in (0.0, 1e-15, 1e-13, 1e-3):
+                G = Q + noise * rng.standard_normal((n, n))
+                expected = float(np.abs(G.T @ G - np.eye(n)).sum(axis=1).max())
+                assert _orthonormality_defect(G) == expected
 
     def test_identity_is_built_once_per_dimension(self):
         basis = BasisMatrix.identity(6)

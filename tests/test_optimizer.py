@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -233,3 +235,58 @@ class TestBfgsMinimize:
         f = ObjectiveFn(rosenbrock2d, 2)
         with pytest.raises(ValueError):
             bfgs_minimize(f, rosenbrock2d_grad, np.array([np.nan, 0.0]), BfgsOptions())
+
+
+class TestNonFiniteValues:
+    @staticmethod
+    def walled(bad):
+        # the banana valley with the half-plane x[0] <= 0.5 cut away
+        return lambda x: bad if x[0] <= 0.5 else rosenbrock2d(x)
+
+    def test_non_finite_start_stops_at_once(self):
+        calls = []
+
+        def grad(x):
+            calls.append(x)
+            return rosenbrock2d_grad(x)
+
+        f = ObjectiveFn(lambda x: np.nan, 2)
+        res = bfgs_minimize(f, grad, np.array([3.0, 1.0]))
+        assert res.reason == "non_finite"
+        assert not res.converged
+        assert res.iterations == 0
+        assert f.eval_count == 1 and len(calls) == 1
+
+        f = ObjectiveFn(rosenbrock2d, 2)
+        res = bfgs_minimize(f, lambda x: np.array([np.inf, 0.0]), np.array([3.0, 1.0]))
+        assert res.reason == "non_finite"
+        assert f.eval_count == 1
+
+    def test_inf_wall_stops_at_the_wall_without_warnings(self):
+        f = ObjectiveFn(self.walled(np.inf), 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = bfgs_minimize(f, rosenbrock2d_grad, np.array([3.0, 1.0]))
+        assert res.reason == "line_search: zoom interval collapsed"
+        values = [rosenbrock2d(x) for x in res.trajectory]
+        assert (res.trajectory[:, 0] > 0.5).all()
+        assert all(b < a for a, b in zip(values, values[1:]))
+        assert res.f_opt == values[-1]
+
+    def test_nan_wall_is_shrunk_away_from_like_an_inf_wall(self):
+        runs = []
+        for bad in (np.inf, np.nan):
+            f = ObjectiveFn(self.walled(bad), 2)
+            runs.append(bfgs_minimize(f, rosenbrock2d_grad, np.array([3.0, 1.0])))
+        assert runs[1].iterations > 0
+        assert runs[1].reason == runs[0].reason
+        assert runs[1].trajectory.tobytes() == runs[0].trajectory.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf, np.inf])
+    def test_non_finite_trial_value_fails_sufficient_decrease(self, bad):
+        # every step of 0.5 or more lands on `bad`; the search shrinks below it
+        f = ObjectiveFn(lambda x: bad if x[0] >= 0.5 else 0.5 * x @ x, 2)
+        x = np.array([-1.0, 0.0])
+        alpha, f_a = line_search(f, x, np.array([2.0, 0.0]), f(x), x)
+        assert 0.0 < alpha < 0.75
+        assert np.isfinite(f_a)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradbench import testbed
 from gradbench.testbed import (
@@ -106,6 +108,56 @@ class TestAnalyticGradientsAgainstOracle:
             oracle = richardson_gradient(tf.fn, x)
             err = np.linalg.norm(analytic - oracle)
             assert err <= 1e-7 * (1.0 + np.linalg.norm(analytic))
+
+
+# derandomized so every run draws the same examples; no example database
+PROPERTY_SETTINGS = settings(
+    max_examples=200, derandomize=True, database=None, deadline=None
+)
+
+
+@st.composite
+def batches(draw):
+    """A registry function name and a (k, n) batch of points for it."""
+    name = draw(st.sampled_from(FUNCTION_NAMES))
+    if name == "rosenbrock2d":
+        n = 2
+    elif name == "rosenbrock-chained":
+        n = draw(st.integers(2, 30))
+    else:
+        n = 2 * draw(st.integers(1, 15))
+    k = draw(st.integers(1, 6))
+    seed = draw(st.integers(0, 2**32 - 1))
+    scale = 10.0 ** draw(st.floats(-3.0, 2.0))
+    return name, scale * np.random.default_rng(seed).standard_normal((k, n))
+
+
+class TestBatchedGradients:
+    """A batch gives, bit for bit, the rows of one call per point."""
+
+    @PROPERTY_SETTINGS
+    @given(batches())
+    def test_batch_equals_per_point_calls(self, case):
+        name, X = case
+        grad = get_test_function(name, X.shape[1]).grad
+        assert grad.batched
+        expected = np.array([grad(x) for x in X])
+        assert grad(X).tobytes() == expected.tobytes()
+
+    @PROPERTY_SETTINGS
+    @given(batches(), st.integers(0, 2**32 - 1))
+    def test_grad_mse_equals_per_row_calls(self, case, seed):
+        _, X = case
+        E = X + np.random.default_rng(seed).standard_normal(X.shape)
+        mse = grad_mse(E, X)
+        assert mse.shape == (X.shape[0],)
+        assert mse.tolist() == [grad_mse(e, x) for e, x in zip(E, X)]
+
+    def test_one_point_stays_a_vector_and_a_float(self):
+        x = np.array([0.3, -1.2, 0.7, 2.0])
+        for name in ("rosenbrock-pairwise", "rosenbrock-chained", "freudenstein-roth"):
+            assert get_test_function(name, 4).grad(x).shape == (4,)
+        assert type(grad_mse(x, np.zeros(4))) is float
 
 
 class TestGradMse:
