@@ -131,11 +131,16 @@ def _cmd_summarize(parser, args):
         summary = bench.summarize(records)
     except ValueError as exc:
         parser.error(str(exc))
-    print(f"vanilla mean mse: {summary.vanilla_mse:.6e}  "
-          f"({summary.vanilla_records} records)")
-    print(f"smart   mean mse: {summary.smart_mse:.6e}  "
-          f"({summary.smart_records} records)")
-    print(f"improvement (vanilla/smart): {summary.improvement:.4f}")
+    print("\n".join(_summary_lines(summary)))
+
+
+def _summary_lines(summary):
+    """The lines `summarize` prints for a bench.Summary."""
+    return [
+        f"vanilla mean mse: {summary.vanilla_mse:.6e}  ({summary.vanilla_records} records)",
+        f"smart   mean mse: {summary.smart_mse:.6e}  ({summary.smart_records} records)",
+        f"improvement (vanilla/smart): {summary.improvement:.4f}",
+    ]
 
 
 def main(argv=None):

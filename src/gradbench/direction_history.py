@@ -5,8 +5,9 @@ difference pushes it into the leading column; the previously accumulated
 directions shift back one slot and are re-orthonormalized against it by a
 rank-one update of the basis, O(n^2) per step (the QR-updating form of
 Daniel, Gragg, Kaufman & Stewart, *Math. Comp.* 30 (1976); Golub & Van
-Loan, *Matrix Computations*, section 6.5).  Storage never grows past the
-one matrix.
+Loan, *Matrix Computations*, section 6.5).  Every step goes through that
+one update; an older direction the new one makes dependent is dropped, not
+replaced.  Storage never grows past the one matrix.
 """
 
 import math
@@ -58,16 +59,18 @@ def mgs_orthonormalize(matrix):
     return BasisMatrix(Q, orthonormal=True)
 
 
-def _push_leading(Q, u, tol):
-    """Orthonormalize [u, Q[:, :n-1]] in O(n^2), or None when it is degenerate.
+def _push_leading(Q, u):
+    """Orthonormalize [u, Q without column k] in O(n^2); u leads.
 
     Q is orthonormal and u a unit vector.  With c = Q^T u and the suffix sums
-    s_j = sum_{k>=j} c_k^2, the result is [u, Q P'], where column j of P'
-    (j = 0..n-2) is sqrt(s_{j+1}/s_j) e_j - c_j / sqrt(s_j s_{j+1}) times c
-    restricted to k > j: the normalized component of e_j orthogonal to c and
-    e_0..e_{j-1}.  In exact arithmetic this is the Householder QR of
-    [u, Q[:, :n-1]] with diag(R) >= 0, and sqrt(s_{j+1}/s_j) is the residual
-    of its column j + 1.  None is returned when a residual is at or below tol.
+    s_j = sum_{m>=j} c_m^2, column j of Q has residual sqrt(s_{j+1}/s_j)
+    against u and the columns before it.  k is the first column whose
+    residual is at or below 1e-10, else n - 1 (the oldest).  Column j < k
+    becomes sqrt(s_{j+1}/s_j) Q e_j - c_j / sqrt(s_j s_{j+1}) times
+    sum_{m=j+1..k} c_m Q e_m, its normalized residual; the columns after k
+    keep their place with u projected out (u's weight on them is below
+    1e-10).  In exact arithmetic, up to that weight, this is the Householder
+    QR of [u, Q without column k] with diag(R) >= 0.
 
     Column 0 is u itself, not Q c, and c is renormalized.  Either keeps
     ||G^T G - I||_inf bounded over any number of updates; without both it
@@ -76,31 +79,18 @@ def _push_leading(Q, u, tol):
     c = Q.T @ u
     c /= math.sqrt(c @ c)
     s = np.cumsum((c * c)[::-1])[::-1]
-    head, tail = s[:-1], s[1:]
-    if not (tail > tol * tol * head).all():
-        return None
-    # tails[:, k] = sum_{m>=k} c_m Q[:, m]
-    tails = np.cumsum((Q * c)[:, ::-1], axis=1)[:, ::-1]
+    dependent = np.flatnonzero(s[1:] <= _DEPENDENCE_RTOL ** 2 * s[:-1])
+    k = int(dependent[0]) if dependent.size else s.size - 1
+    head, tail = s[:k], s[1:k + 1]
+    # tails[:, j] = sum_{m=j..k} c_m Q[:, m]
+    tails = np.cumsum((Q[:, :k + 1] * c[:k + 1])[:, ::-1], axis=1)[:, ::-1]
     G = np.empty_like(Q)
     G[:, 0] = u
-    G[:, 1:] = Q[:, :-1] * np.sqrt(tail / head) - tails[:, 1:] * (
-        c[:-1] / np.sqrt(head * tail)
+    G[:, 1:k + 1] = Q[:, :k] * np.sqrt(tail / head) - tails[:, 1:] * (
+        c[:k] / np.sqrt(head * tail)
     )
+    G[:, k + 1:] = Q[:, k + 1:] - u[:, None] * c[k + 1:]
     return G
-
-
-def _candidate_tol(delta, Q):
-    """_dependence_tol of [delta, Q[:, :n-1]], bit for bit, without stacking it.
-
-    np.linalg.norm(M, axis=0) adds each column of a C-contiguous M in row
-    order, as np.add.reduce(axis=0) does for Q's columns and np.cumsum for
-    delta (a 1-D sum would add delta pairwise and round differently).  The
-    square root is monotone, so the root of the largest sum is the largest
-    column norm.
-    """
-    q = Q[:, :-1]
-    largest = np.add.reduce(q * q, axis=0).max(initial=np.cumsum(delta * delta)[-1])
-    return _DEPENDENCE_RTOL * math.sqrt(largest)
 
 
 class DirectionHistory:
@@ -110,10 +100,10 @@ class DirectionHistory:
     difference vector; differences with norm at most 1e-14 are ignored so
     re-evaluating an optimizer at the same point never corrupts the basis.
     The new basis is [delta/|delta|, older directions re-orthonormalized
-    behind it], taken by a rank-one update; when delta or an older direction
-    is dependent on those before it within 1e-10 (relative to the largest
-    column), mgs_orthonormalize handles the step instead and substitutes
-    spare canonical axes for the dependent columns.
+    behind it], taken by a rank-one update, so column 0 is always the
+    latest step's direction.  One older direction is dropped per step: the
+    oldest, or, when the step makes an older direction dependent (a
+    residual within 1e-10), the first such one.
     """
 
     def __init__(self, dim):
@@ -132,13 +122,8 @@ class DirectionHistory:
         norm = math.sqrt(delta @ delta)
         if norm <= _ZERO_STEP_TOL:
             return self  # no movement: keep the current basis
-        Q = self.basis.matrix
-        tol = _candidate_tol(delta, Q)
-        G = _push_leading(Q, delta / norm, tol) if norm > tol else None
-        if G is None:
-            self.basis = mgs_orthonormalize(np.column_stack([delta, Q[:, :-1]]))
-        else:
-            self.basis = BasisMatrix(G, orthonormal=True)
+        G = _push_leading(self.basis.matrix, delta / norm)
+        self.basis = BasisMatrix(G, orthonormal=True)
         self.updates_seen += 1
         return self
 

@@ -11,7 +11,7 @@ coincides exactly with the canonical-basis one.
 import numpy as np
 
 from .direction_history import DirectionHistory
-from .finite_difference import FdScheme, gradient_in_basis, hessian_in_basis
+from .finite_difference import FdScheme, _check_point, gradient_in_basis, hessian_in_basis
 
 
 class SmartEstimator:
@@ -27,14 +27,6 @@ class SmartEstimator:
         self.history = DirectionHistory(objective.dim)
         self.last_x = None
 
-    def _as_point(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.objective.dim,):
-            raise ValueError(
-                f"expected a point of length {self.objective.dim}, got shape {x.shape}"
-            )
-        return x
-
     def smart_gradient(self, x):
         """Gradient estimate at x in the current history basis.
 
@@ -43,7 +35,8 @@ class SmartEstimator:
         the estimate at the new iterate already uses the step that led
         there.  Repeated queries at the same point leave the basis alone.
         """
-        x = self._as_point(x)
+        x = np.asarray(x, dtype=float)
+        _check_point(self.objective, x)  # before x touches the history
         if self.last_x is not None and not np.array_equal(x, self.last_x):
             self.history.update(x - self.last_x)
         estimate = gradient_in_basis(self.objective, x, self.history.basis, self.scheme)
@@ -57,7 +50,6 @@ class SmartEstimator:
         untouched: a Hessian at the mode is taken along the directions the
         optimizer actually travelled.
         """
-        x = self._as_point(x)
         return hessian_in_basis(self.objective, x, self.history.basis, self.scheme)
 
 

@@ -28,18 +28,11 @@ def _require_even(n, name):
         raise ValueError(f"{name} requires an even dimension >= 2, got {n}")
 
 
-# Squares each element as a Python float does, through libm pow(v, 2), which
-# rounds differently from numpy's v * v in about 1 case in 1000.
-# rosenbrock2d's values, and the bench and rotate CSVs built on them, are
-# defined by that rounding.
-_pow2 = np.vectorize(lambda v: v ** 2, otypes=[float])
-
-
 def rosenbrock2d(x):
     """Banana-valley function on R^2; minimum 0 at (1, 1)."""
     x = np.asarray(x, dtype=float)
     x1, x2 = x[..., 0], x[..., 1]
-    return _pow2(1.0 - x1) + 100.0 * _pow2(x2 - x1 * x1)
+    return (1.0 - x1) ** 2 + 100.0 * (x2 - x1 * x1) ** 2
 
 
 rosenbrock2d.batched = True

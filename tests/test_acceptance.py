@@ -5,11 +5,14 @@ pass/fail lines.  The comparison experiments (criteria 5, 6, 8) run the
 full 100-repetition configuration and take a few minutes.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import stats
 
 from gradbench import bench
+from gradbench.cli import _summary_lines
 from gradbench.cli import main as cli_main
 from gradbench.direction_history import DirectionHistory, mgs_orthonormalize
 from gradbench.finite_difference import (
@@ -204,6 +207,14 @@ def test_criterion_6_per_iteration_curves(table_records):
         fractions.append(f"{name}/{dim}: {frac:.0%}")
         ok &= frac >= 0.80
     report(6, "smart at or below vanilla past warm-up: " + ", ".join(fractions), ok)
+
+
+def test_readme_summarize_example_is_the_chained_10_cell(table_records):
+    # README's `summarize` example runs `bench` on this cell with the defaults
+    summary = bench.summarize(table_records[("rosenbrock-chained", 10)])
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    for line in _summary_lines(summary):
+        assert f"# {line}\n" in readme
 
 
 def test_criterion_7_rotation_scan_anticorrelation():

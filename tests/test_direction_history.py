@@ -1,10 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradbench.direction_history import DirectionHistory, _candidate_tol, mgs_orthonormalize
-from gradbench.finite_difference import BasisMatrix, _dependence_tol
+from gradbench.direction_history import DirectionHistory, mgs_orthonormalize
+from gradbench.finite_difference import BasisMatrix
 from oracle import reference_mgs
 
 # derandomized so every run draws the same examples; no example database
@@ -163,11 +165,9 @@ class TestDirectionHistory:
             DirectionHistory(3).update(np.ones(2))
 
     @pytest.mark.parametrize("norm", [2e-14, 1e-12, 9e-11])
-    def test_tiny_step_puts_first_axis_in_front(self, norm):
-        # A step above the 1e-14 no-movement threshold but at or below the
-        # 1e-10 dependence tolerance is itself degenerate: the leading
-        # column becomes e_0 (no column before it, so every axis ties), not
-        # the step's direction, and the older directions follow behind it.
+    def test_tiny_step_leads_like_any_other(self, norm):
+        # A step above the 1e-14 no-movement threshold is a direction, however
+        # short: it goes in front and the oldest direction is dropped.
         rng = np.random.default_rng(8)
         n = 5
         hist = DirectionHistory(n)
@@ -179,9 +179,21 @@ class TestDirectionHistory:
         hist.update(delta)
         assert hist.updates_seen == 4
         Q = hist.basis.matrix
-        np.testing.assert_allclose(Q[:, 0], np.eye(n)[0], rtol=0, atol=1e-15)
-        reference, _ = reference_mgs(np.column_stack([delta, before[:, : n - 1]]))
+        u = delta / np.linalg.norm(delta)
+        np.testing.assert_allclose(Q[:, 0], u, rtol=0, atol=1e-15)
+        reference, _ = reference_mgs(np.column_stack([u, before[:, : n - 1]]))
         np.testing.assert_allclose(Q, reference, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("n,k", [(1, 0), (4, 0), (4, 2), (4, 3), (7, 5)])
+    def test_axis_step_on_fresh_history_moves_that_axis_in_front(self, n, k):
+        # Q^T u = e_k, so the suffix sums past k are exactly zero: axis k is
+        # dropped from behind and every other axis keeps its order and bits.
+        hist = DirectionHistory(n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            hist.update(np.eye(n)[k])
+        expected = np.eye(n)[:, [k, *range(k), *range(k + 1, n)]]
+        np.testing.assert_array_equal(hist.basis.matrix, expected)
 
     @pytest.mark.parametrize("n", [2, 5, 25, 30])
     def test_no_drift_over_many_updates(self, n):
@@ -200,29 +212,8 @@ class TestDirectionHistory:
             assert np.abs(Q - reference).max() <= 1e-13 * np.linalg.cond(M)
 
 
-class TestCandidateTolerance:
-    """update() takes the dependence tolerance of [delta, Q[:, :n-1]] from
-    the parts, without stacking them; it must be the stacked one's bits."""
-
-    @pytest.mark.parametrize("n", range(2, 31))
-    def test_equals_tolerance_of_the_stacked_candidate(self, n):
-        rng = np.random.default_rng(n)
-        hist = DirectionHistory(n)
-        for k in range(30):
-            Q = hist.basis.matrix
-            if k % 3 == 0:  # random, with a norm on either side of Q's columns
-                delta = 10.0 ** rng.uniform(-3.0, 3.0) * rng.standard_normal(n)
-            elif k % 3 == 1:  # parallel to a direction already held
-                delta = rng.normal() * Q[:, rng.integers(0, n)]
-            else:  # near zero, down to the step that is ignored
-                delta = 10.0 ** rng.uniform(-13.9, -10.0) * rng.standard_normal(n)
-            expected = _dependence_tol(np.column_stack([delta, Q[:, : n - 1]]))
-            assert _candidate_tol(delta, Q) == expected
-            hist.update(delta)
-
-
 class TestAgreesWithReferenceMgs:
-    """The Householder QR against the column-by-column MGS it replaced."""
+    """The Householder QR and the history update against column-by-column MGS."""
 
     @PROPERTY_SETTINGS
     @given(
@@ -245,23 +236,26 @@ class TestAgreesWithReferenceMgs:
         seed=st.integers(0, 2**32 - 1),
         n=st.integers(2, 12),
         kinds=st.lists(
-            st.sampled_from(["parallel", "span2", "tiny", "generic"]),
+            st.sampled_from(["parallel", "near", "span2", "tiny", "generic"]),
             min_size=1,
             max_size=8,
         ),
     )
     def test_update_sequences(self, seed, n, kinds):
-        # Degenerate steps make the candidate rank deficient, so a column is
-        # replaced by the spare canonical axis.  Where two axis masses tie to
-        # rounding, the two orthonormalizations may pick different axes; both
-        # bases are valid, and the reference continues from the library's.
+        # A step leaves the history as [u, Q without column k], where k is
+        # the last direction u has more than rounding-level weight on: the
+        # oldest for a generic step, the one it is parallel to, or the
+        # second of a pair it (nearly) spans.
         rng = np.random.default_rng(seed)
         hist = DirectionHistory(n)
-        reference = np.eye(n)
         for kind in kinds:
             G = hist.basis.matrix
             if kind == "parallel":
                 delta = rng.normal() * G[:, rng.integers(0, n)]
+            elif kind == "near":  # in the span of two, up to 3e-12 of the second
+                b = rng.normal()
+                delta = rng.normal() * G[:, 0] + b * G[:, rng.integers(1, n)]
+                delta += 3e-12 * abs(b) * rng.standard_normal(n)
             elif kind == "span2":
                 delta = rng.normal() * G[:, 0] + rng.normal() * G[:, 1]
             elif kind == "tiny":
@@ -272,12 +266,11 @@ class TestAgreesWithReferenceMgs:
                 continue
             hist.update(delta)
             Q = hist.basis.matrix
-            if kind != "tiny":  # a tiny step is itself replaced as degenerate
-                np.testing.assert_allclose(
-                    Q[:, 0], delta / np.linalg.norm(delta), rtol=0, atol=1e-14
-                )
+            u = delta / np.linalg.norm(delta)
+            np.testing.assert_allclose(Q[:, 0], u, rtol=0, atol=1e-15)
+            k = np.flatnonzero(np.abs(G.T @ u) > 1e-8)[-1]
             reference, tie_gap = reference_mgs(
-                np.column_stack([delta, reference[:, : n - 1]])
+                np.column_stack([u, np.delete(G, k, axis=1)])
             )
-            assert np.abs(Q - reference).max() <= 1e-8 or tie_gap < 1e-12
-            reference = Q
+            assert tie_gap == np.inf  # no axis had to be brought in
+            assert np.abs(Q - reference).max() <= 1e-8

@@ -93,6 +93,14 @@ class TestSmartGradient:
         with pytest.raises(ValueError):
             est.smart_gradient(np.zeros(3))
 
+    def test_non_finite_point_rejected_before_the_history_moves(self):
+        est = SmartEstimator(ObjectiveFn(rosenbrock2d, 2), FdScheme())
+        est.smart_gradient(np.array([0.5, 0.5]))
+        with pytest.raises(ValueError, match="x must be finite"):
+            est.smart_gradient(np.array([np.nan, 0.5]))
+        np.testing.assert_array_equal(est.last_x, [0.5, 0.5])
+        assert est.history.updates_seen == 0
+
 
 class TestSmartHessian:
     A = np.array([[2.0, 1.0], [1.0, 3.0]])

