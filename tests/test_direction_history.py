@@ -212,6 +212,42 @@ class TestDirectionHistory:
             assert np.abs(Q - reference).max() <= 1e-13 * np.linalg.cond(M)
 
 
+class TestMixedStepsAtEveryDimension:
+    """The one update rule over random, parallel and near-zero steps, which
+    are the steps that used to leave the fast path, at every n from 2 to 30."""
+
+    @pytest.mark.parametrize("n", range(2, 31))
+    def test_step_leads_and_dependent_direction_is_dropped(self, n):
+        rng = np.random.default_rng(n)
+        hist = DirectionHistory(n)
+        for step in range(30):
+            G = hist.basis.matrix
+            seen = hist.updates_seen
+            if step % 3 == 0:  # random, with a norm on either side of Q's columns
+                delta = 10.0 ** rng.uniform(-3.0, 3.0) * rng.standard_normal(n)
+            elif step % 3 == 1:  # parallel to a direction already held
+                delta = rng.normal() * G[:, rng.integers(0, n)]
+            else:  # near zero, down to the step that is ignored
+                delta = 10.0 ** rng.uniform(-13.9, -10.0) * rng.standard_normal(n)
+            hist.update(delta)
+            Q = hist.basis.matrix
+            if np.linalg.norm(delta) <= 1e-14:
+                assert hist.updates_seen == seen
+                assert Q is G
+                continue
+            assert hist.updates_seen == seen + 1
+            u = delta / np.linalg.norm(delta)
+            np.testing.assert_allclose(Q[:, 0], u, rtol=0, atol=1e-15)
+            assert orthonormality_defect(Q) <= 1e-13
+            k = np.flatnonzero(np.abs(G.T @ u) > 1e-8)[-1]
+            assert k == (n - 1 if step % 3 != 1 else np.argmax(np.abs(G.T @ u)))
+            reference, tie_gap = reference_mgs(
+                np.column_stack([u, np.delete(G, k, axis=1)])
+            )
+            assert tie_gap == np.inf
+            assert np.abs(Q - reference).max() <= 1e-12
+
+
 class TestAgreesWithReferenceMgs:
     """The Householder QR and the history update against column-by-column MGS."""
 
