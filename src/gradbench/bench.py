@@ -291,7 +291,9 @@ def read_bench_csv(path):
     """Read records written by write_bench_csv.
 
     Columns are found by their header names, in any order; extra columns
-    and blank lines are ignored.  Raises ValueError when a column is missing.
+    and blank lines are ignored.  Raises ValueError when a column is missing,
+    and, naming the path and line, when a row is too short to hold every
+    column (a file cut off mid-write) or a field is not a number.
     """
     with open(path, newline="") as fh:
         rows = csv.reader(fh)
@@ -300,12 +302,19 @@ def read_bench_csv(path):
         if missing:
             raise ValueError(f"{path}: missing column(s) {', '.join(missing)}")
         fn, dim, rep, it, method, mse, norm = (index[name] for name in BENCH_CSV_COLUMNS)
-        return [
-            BenchRecord(row[fn], int(row[dim]), int(row[rep]), int(row[it]),
-                        row[method], float(row[mse]), float(row[norm]))
-            for row in rows
-            if row  # a blank line, as csv.DictReader skips them
-        ]
+        try:
+            return [
+                BenchRecord(row[fn], int(row[dim]), int(row[rep]), int(row[it]),
+                            row[method], float(row[mse]), float(row[norm]))
+                for row in rows
+                if row  # a blank line, as csv.DictReader skips them
+            ]
+        except IndexError:
+            raise ValueError(
+                f"{path}: line {rows.line_num} has fewer fields than the header"
+            ) from None
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {rows.line_num}: {exc}") from None
 
 
 def write_rotate_csv(records, path):

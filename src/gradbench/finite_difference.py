@@ -272,6 +272,44 @@ def vanilla_gradient(f, x, scheme=FdScheme()):
     return gradient_in_basis(f, x, BasisMatrix.identity(f.dim), scheme)
 
 
+@functools.lru_cache(maxsize=16)
+def _lower_pairs(n):
+    """Row and column indices (i, j), i > j, of the strict lower triangle of
+    an n x n matrix, in np.tril_indices order.  Built once per n and shared
+    (read-only); the 16 most recently used dimensions are kept."""
+    pairs = np.tril_indices(n, -1)
+    for index in pairs:
+        index.flags.writeable = False
+    return pairs
+
+
+def _hessian_points(x, S):
+    """The 2 n^2 + 1 points of hessian_in_basis's stencils, one per row of a
+    C-contiguous matrix: x, the n rows x + S, the n rows x - S, then over the
+    pairs (i, j) of _lower_pairs(n) the blocks (x + S[i]) + S[j],
+    (x + S[i]) - S[j], (x - S[i]) + S[j] and (x - S[i]) - S[j].
+
+    Each cross block is gathered straight into its own rows and stepped in
+    place, so the one temporary beside the matrix is the gather S[j], which
+    is freed when this returns.
+    """
+    n = S.shape[0]
+    i, j = _lower_pairs(n)
+    P = np.empty((2 * n * n + 1, n))
+    P[0] = x
+    plus, minus = P[1:n + 1], P[n + 1:2 * n + 1]
+    np.add(x, S, out=plus)
+    np.subtract(x, S, out=minus)
+    Sj = S[j]
+    blocks = P[2 * n + 1:].reshape(4, i.size, n)
+    for block, rows, step in zip(blocks, (plus, plus, minus, minus), (np.add, np.subtract) * 2):
+        # mode="clip" lets take write into `out` without a buffer; every
+        # index is in range, so nothing is clipped
+        rows.take(i, axis=0, out=block, mode="clip")
+        step(block, Sj, out=block)
+    return P
+
+
 def hessian_in_basis(f, x, basis, scheme=FdScheme()):
     """Hessian estimate taken along the columns of an orthonormal basis.
 
@@ -279,8 +317,11 @@ def hessian_in_basis(f, x, basis, scheme=FdScheme()):
     differences with the scheme's step h: diagonal entries from the
     three-point stencil, off-diagonal entries from the four-point cross
     stencil.  The result is mapped back as G H G^T and symmetrized, costing
-    2 n^2 + 1 evaluations.  They go to f as one batch, so the points alone
-    take (2 n^2 + 1) n floats: 16 MB at n = 100.
+    2 n^2 + 1 evaluations.  They go to f as one batch, written in place into
+    one (2 n^2 + 1, n) matrix: 16 MB at n = 100.  The one temporary beside
+    it, an (n (n - 1) / 2, n) gather, is freed before f runs; at
+    freudenstein-roth n = 100 the traced peak of a call, f's own
+    temporaries included, is about 48 MB.
     """
     if not basis.orthonormal:
         raise ValueError("hessian_in_basis requires an orthonormal basis")
@@ -291,20 +332,13 @@ def hessian_in_basis(f, x, basis, scheme=FdScheme()):
     n = basis.dim
     h = scheme.step
     cols = basis.matrix
-    S = h * cols.T  # row i is the step along column i
-    plus, minus = x + S, x - S
-    i, j = np.tril_indices(n, -1)
     before = f.eval_count
-    F = f.eval_rows(
-        np.vstack([
-            x, plus, minus,
-            plus[i] + S[j], plus[i] - S[j], minus[i] + S[j], minus[i] - S[j],
-        ])
-    )
+    F = f.eval_rows(_hessian_points(x, h * cols.T))  # row i of h G^T steps along column i
     f0, f_plus, f_minus = F[0], F[1:n + 1], F[n + 1:2 * n + 1]
     pp, pm, mp, mm = F[2 * n + 1:].reshape(4, -1)
     inner = np.diag((f_plus - 2.0 * f0 + f_minus) / (h * h))
     cross = (pp - pm - mp + mm) / (4.0 * h * h)
+    i, j = _lower_pairs(n)
     inner[i, j] = cross
     inner[j, i] = cross
     transformed = cols @ inner @ cols.T

@@ -254,6 +254,17 @@ class TestCsvIO:
         with pytest.raises(ValueError, match="grad_norm"):
             bench.read_bench_csv(path)
 
+    @pytest.mark.parametrize("row,message", [
+        ("f,2,0,1,sma", "line 3 has fewer fields"),  # a file cut off mid-write
+        ("f,2,0,x,smart,1.0,2.0", "line 3: invalid literal"),
+    ])
+    def test_bad_row_names_its_line(self, tmp_path, row, message):
+        path = tmp_path / "bench.csv"
+        path.write_text(f"function,dim,rep,iteration,method,mse,grad_norm\n"
+                        f"f,2,0,0,smart,1.0,2.0\n{row}\n")
+        with pytest.raises(ValueError, match=f"bench.csv: {message}"):
+            bench.read_bench_csv(path)
+
     def test_byte_identical_rewrites(self, tmp_path):
         records = bench.run_comparison("rosenbrock-chained", 3, reps=2, seed=4)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"

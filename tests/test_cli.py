@@ -122,6 +122,13 @@ class TestSummarizeCommand:
         assert run_cli(["summarize", "--in", str(path)]) == 2
         assert "mse" in capsys.readouterr().err
 
+    def test_truncated_row_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "records.csv"
+        path.write_text("function,dim,rep,iteration,method,mse,grad_norm\n"
+                        "f,2,0,0,smart,1.0,2.0\nf,2,0,1,sma")
+        assert run_cli(["summarize", "--in", str(path)]) == 2
+        assert "line 3" in capsys.readouterr().err
+
 
 class TestConsoleEntryPoints:
     def test_module_invocation(self):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from gradbench.finite_difference import (
     FdScheme,
     IllConditionedBasisError,
     ObjectiveFn,
+    _lower_pairs,
     _orthonormality_defect,
     directional_derivative,
     gradient_in_basis,
@@ -349,6 +352,34 @@ class TestHessianInBasis:
         with pytest.raises(ValueError):
             hessian_in_basis(self._quad(), np.zeros(2), G, FdScheme())
 
+    def test_pair_indices_are_built_once_per_dimension(self):
+        pairs = _lower_pairs(6)
+        assert _lower_pairs(6) is pairs
+        assert _lower_pairs(5) is not pairs
+        for index, expected in zip(pairs, np.tril_indices(6, -1)):
+            np.testing.assert_array_equal(index, expected)
+            assert not index.flags.writeable
+            with pytest.raises(ValueError):
+                index[0] = 0
+
+    def test_peak_memory_is_the_points_and_one_gather(self):
+        # the (2n^2 + 1, n) points plus one (n(n-1)/2, n) gather is 1.25x;
+        # a copy of all the points would be 2x
+        n = 60
+
+        def first(X):
+            return X[..., 0]
+
+        first.batched = True
+        f = ObjectiveFn(first, n)
+        tracemalloc.start()
+        try:
+            hessian_in_basis(f, np.zeros(n), BasisMatrix.identity(n), FdScheme())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6 * (2 * n * n + 1) * n * 8
+
 
 def _basis(kind, dim, rng):
     if kind == "identity":
@@ -389,3 +420,19 @@ class TestAgreesWithScalarStencilsBitwise:
         basis = _basis(kind, dim, rng)
         est = hessian_in_basis(ObjectiveFn(tf.fn, dim), x, basis, FdScheme())
         assert np.array_equal(est.values, reference_hessian_in_basis(tf.fn, x, basis, FdScheme()))
+
+    @pytest.mark.parametrize("dim,batched", [(1, True), (3, False)])
+    def test_hessian_in_basis_at_the_edges(self, dim, batched):
+        # n = 1 has no cross stencils; an unmarked callable is called row by row
+        def fn(x):
+            return np.sum(np.sin(3.0 * x) * x, axis=-1) + np.sum(x, axis=-1) ** 4
+
+        if batched:
+            fn.batched = True
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal(dim)
+        basis = _basis("orthonormal", dim, rng)
+        f = ObjectiveFn(fn, dim)
+        est = hessian_in_basis(f, x, basis, FdScheme())
+        assert np.array_equal(est.values, reference_hessian_in_basis(fn, x, basis, FdScheme()))
+        assert est.evals_used == f.eval_count == 2 * dim * dim + 1
