@@ -178,7 +178,8 @@ def run_comparison(function, dim, reps=100, seed=0, scheme=None):
 
 def summarize(records):
     """Average MSE per method over all (rep, iteration) pairs, plus the
-    vanilla/smart ratio.  Requires records from both methods."""
+    vanilla/smart ratio.  Requires records from both methods.  With a smart
+    mean of 0 the ratio is inf, or nan if the vanilla mean is 0 too."""
     mses = {"vanilla": [], "smart": []}
     for r in records:
         if r.method not in mses:
@@ -188,10 +189,14 @@ def summarize(records):
         raise ValueError("records must contain both methods")
     vanilla = float(np.mean(mses["vanilla"]))
     smart = float(np.mean(mses["smart"]))
+    if smart:
+        improvement = vanilla / smart
+    else:
+        improvement = math.inf if vanilla else math.nan
     return Summary(
         vanilla_mse=vanilla,
         smart_mse=smart,
-        improvement=vanilla / smart,
+        improvement=improvement,
         vanilla_records=len(mses["vanilla"]),
         smart_records=len(mses["smart"]),
     )

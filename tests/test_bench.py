@@ -145,6 +145,15 @@ class TestSummarize:
         summary = bench.summarize(self._records([2.80e-4], [0.49e-4]))
         assert summary.improvement == pytest.approx(5.71, abs=5e-3)
 
+    def test_zero_smart_mse_gives_infinite_improvement(self):
+        summary = bench.summarize(self._records([2.0, 4.0], [0.0, 0.0]))
+        assert summary.smart_mse == 0.0
+        assert summary.improvement == math.inf
+
+    def test_zero_mse_for_both_methods_gives_nan_improvement(self):
+        summary = bench.summarize(self._records([0.0], [0.0]))
+        assert math.isnan(summary.improvement)
+
     def test_single_method_rejected(self):
         rows = [BenchRecord("f", 2, 0, 0, "vanilla", 1.0, 1.0)]
         with pytest.raises(ValueError):

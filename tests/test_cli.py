@@ -113,6 +113,14 @@ class TestSummarizeCommand:
         assert "smart   mean mse:" in printed
         assert "improvement (vanilla/smart):" in printed
 
+    @pytest.mark.parametrize("vanilla,ratio", [("2.0", "inf"), ("0.0", "nan")])
+    def test_zero_smart_mse_prints_the_ratio(self, tmp_path, capsys, vanilla, ratio):
+        path = tmp_path / "records.csv"
+        path.write_text("function,dim,rep,iteration,method,mse,grad_norm\n"
+                        f"f,2,0,0,vanilla,{vanilla},1.0\nf,2,0,0,smart,0.0,1.0\n")
+        assert run_cli(["summarize", "--in", str(path)]) == 0
+        assert f"improvement (vanilla/smart): {ratio}\n" in capsys.readouterr().out
+
     def test_missing_file_exits_2(self, tmp_path):
         assert run_cli(["summarize", "--in", str(tmp_path / "absent.csv")]) == 2
 

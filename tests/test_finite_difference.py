@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gradbench.finite_difference import (
+    _BLOCK_BYTES,
     BasisMatrix,
     FdScheme,
     IllConditionedBasisError,
@@ -124,6 +125,41 @@ class TestObjectiveFn:
         f.eval_rows(np.asfortranarray(np.ones((5, 3))))
         assert seen == [((5, 3), True)]
         assert f.eval_count == 5
+
+    @pytest.mark.parametrize("full,extra", [(1, 1), (3, 2)])
+    def test_batched_callable_gets_consecutive_blocks(self, full, extra):
+        # a block holds _BLOCK_BYTES // 24 rows at dim 3; m is `extra` rows
+        # past `full` blocks
+        rows = _BLOCK_BYTES // 24
+        m = full * rows + extra
+        seen = []
+
+        def fn(X):
+            seen.append((X.copy(), X.flags.c_contiguous))
+            return np.sum(np.sin(X) * X, axis=-1)
+
+        fn.batched = True
+        X = np.random.default_rng(8).standard_normal((m, 3))
+        f = ObjectiveFn(fn, 3)
+        values = f.eval_rows(X)
+        assert len(seen) == full + 1
+        assert all(c_contiguous and len(block) <= rows for block, c_contiguous in seen)
+        assert np.array_equal(np.concatenate([block for block, _ in seen]), X)
+        assert np.array_equal(values, [fn(row) for row in X])
+        assert f.eval_count == m
+
+    def test_wrong_shape_from_a_later_block_raises(self):
+        calls = []
+
+        def fn(X):
+            calls.append(len(X))
+            return np.zeros(len(X) if len(calls) == 1 else len(X) + 1)
+
+        fn.batched = True
+        f = ObjectiveFn(fn, 3)
+        with pytest.raises(ValueError):
+            f.eval_rows(np.zeros((_BLOCK_BYTES // 24 + 1, 3)))
+        assert calls == [_BLOCK_BYTES // 24, 1]
 
     @pytest.mark.parametrize("result", [lambda X: 0.0, lambda X: np.zeros((len(X), 1)),
                                         lambda X: np.zeros(len(X) + 1)])
@@ -380,6 +416,20 @@ class TestHessianInBasis:
             tracemalloc.stop()
         assert peak <= 1.6 * (2 * n * n + 1) * n * 8
 
+    def test_peak_memory_of_a_testbed_hessian(self):
+        # the objective sees 64 KiB blocks, so its temporaries stay small
+        # beside the points; one call on all the points peaks at 3x them
+        n = 60
+        tf, x, _ = _family_point("rosenbrock-chained", n, 5)
+        f = ObjectiveFn(tf.fn, n)
+        tracemalloc.start()
+        try:
+            hessian_in_basis(f, x, BasisMatrix.identity(n), FdScheme())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * (2 * n * n + 1) * n * 8
+
 
 def _basis(kind, dim, rng):
     if kind == "identity":
@@ -420,6 +470,25 @@ class TestAgreesWithScalarStencilsBitwise:
         basis = _basis(kind, dim, rng)
         est = hessian_in_basis(ObjectiveFn(tf.fn, dim), x, basis, FdScheme())
         assert np.array_equal(est.values, reference_hessian_in_basis(tf.fn, x, basis, FdScheme()))
+
+    # batches of more than one 64 KiB block: 3,201 Hessian points in 16
+    # blocks at n = 40, 256 central4 points in 2 blocks at n = 64
+    @pytest.mark.parametrize("name", ["rosenbrock-chained", "freudenstein-roth"])
+    def test_blocked_hessian_in_basis(self, name):
+        tf, x, rng = _family_point(name, 40, 6)
+        basis = _basis("orthonormal", 40, rng)
+        f = ObjectiveFn(tf.fn, 40)
+        est = hessian_in_basis(f, x, basis, FdScheme())
+        assert np.array_equal(est.values, reference_hessian_in_basis(tf.fn, x, basis, FdScheme()))
+        assert est.evals_used == f.eval_count == 2 * 40 * 40 + 1
+
+    def test_blocked_gradient_in_basis(self):
+        scheme = FdScheme("central", 4)
+        tf, x, rng = _family_point("rosenbrock-chained", 64, 7)
+        basis = _basis("orthonormal", 64, rng)
+        est = gradient_in_basis(ObjectiveFn(tf.fn, 64), x, basis, scheme)
+        assert np.array_equal(est.values, reference_gradient_in_basis(tf.fn, x, basis, scheme))
+        assert est.evals_used == 4 * 64
 
     @pytest.mark.parametrize("dim,batched", [(1, True), (3, False)])
     def test_hessian_in_basis_at_the_edges(self, dim, batched):
