@@ -5,9 +5,7 @@ All gradient entry points funnel through one stencil routine, so an estimate
 taken in the identity basis is bit-for-bit the plain canonical estimate.
 Each stencil's points are stacked into one C-contiguous matrix, one point
 per row, and evaluated by ObjectiveFn.eval_rows, which hands a batched
-objective the rows in blocks of at most 64 KiB: a two-point central
-stencil is one call up to n = 64 (a five-point one up to n = 45), a
-Hessian's 2 n^2 + 1 points at n = 25 take four calls.
+objective the rows in blocks.
 """
 
 import functools
@@ -18,10 +16,7 @@ import numpy as np
 _ORTHONORMAL_TOL = 1e-12
 _DEPENDENCE_RTOL = 1e-10
 _UNIT_NORM_TOL = 1e-12
-# Largest block of points a batched objective gets in one call.  Hessian
-# batches are split so the objective's temporaries stay small enough to be
-# reused by the allocator instead of being mapped and faulted in anew.
-_BLOCK_BYTES = 64 * 1024
+_BLOCK_BYTES = 64 * 1024  # see ObjectiveFn.eval_rows
 
 
 class IllConditionedBasisError(ValueError):
@@ -72,8 +67,7 @@ class ObjectiveFn:
     The counter is plain Python state; counts are exact as long as the
     instance is not shared across concurrent runs.  A callable with the
     attribute `batched = True` also accepts an (m, n) array of points and
-    returns their m values; eval_rows passes it at most 64 KiB of points
-    per call.
+    returns their m values, in blocks (see eval_rows).
     """
 
     def __init__(self, fn, dim):
@@ -92,12 +86,14 @@ class ObjectiveFn:
     def eval_rows(self, X):
         """f at each row of the (m, dim) matrix X, as a length-m array.
 
-        Counts m evaluations.  A batched callable gets the rows as
-        C-contiguous blocks of consecutive rows, each of at most 64 KiB
-        (max(1, 8192 // dim) rows), one call per block, so a batch that
-        fits in one block is one call.  A row-wise reduction sums each row
-        in the same order as a lone point, so the values equal those of m
-        single calls bit for bit.  Any other callable is called row by row.
+        Counts m evaluations.  A batched callable gets the rows in
+        C-contiguous blocks of consecutive rows, one call per block, each
+        block at most _BLOCK_BYTES of points (max(1, _BLOCK_BYTES // (8 *
+        dim)) rows).  Small blocks keep the callable's temporaries small
+        enough for the allocator to reuse from call to call instead of
+        mapping and faulting them in anew.  A row-wise reduction sums each
+        row in the same order as a lone point, so the values equal those of
+        m single calls bit for bit.  Any other callable is called row by row.
         """
         X = np.ascontiguousarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.dim:
@@ -106,21 +102,15 @@ class ObjectiveFn:
             return np.array([self(row) for row in X])
         m = X.shape[0]
         self.eval_count += m
-        if m <= self._block_rows:
-            return self._eval_block(X)
         values = np.empty(m)
         for start in range(0, m, self._block_rows):
-            stop = start + self._block_rows
-            values[start:stop] = self._eval_block(X[start:stop])
-        return values
-
-    def _eval_block(self, X):
-        """The batched callable's values at the rows of X, shape-checked."""
-        values = np.asarray(self._fn(X), dtype=float)
-        if values.shape != (X.shape[0],):
-            raise ValueError(
-                f"batched objective returned shape {values.shape} for {X.shape[0]} points"
-            )
+            block = X[start:start + self._block_rows]
+            block_values = np.asarray(self._fn(block), dtype=float)
+            if block_values.shape != (len(block),):
+                raise ValueError(
+                    f"batched objective returned shape {block_values.shape} for {len(block)} points"
+                )
+            values[start:start + len(block)] = block_values
         return values
 
 
@@ -340,10 +330,10 @@ def hessian_in_basis(f, x, basis, scheme=FdScheme()):
     stencil.  The result is mapped back as G H G^T and symmetrized, costing
     2 n^2 + 1 evaluations.  They go to f as one batch, written in place into
     one (2 n^2 + 1, n) matrix: 16 MB at n = 100.  The one temporary beside
-    it, an (n (n - 1) / 2, n) gather, is freed before f runs, and f sees the
-    points in 64 KiB blocks (see ObjectiveFn.eval_rows), so its temporaries
-    stay small: at freudenstein-roth n = 100 the traced peak of a call, f's
-    own temporaries included, is about 20 MB, 1.27 times the points.
+    it, an (n (n - 1) / 2, n) gather, is freed before f runs, and f gets
+    the points in blocks (see ObjectiveFn.eval_rows): at freudenstein-roth
+    n = 100 the traced peak of a call, f's own temporaries included, is
+    about 20 MB, 1.27 times the points.
     """
     if not basis.orthonormal:
         raise ValueError("hessian_in_basis requires an orthonormal basis")

@@ -417,8 +417,8 @@ class TestHessianInBasis:
         assert peak <= 1.6 * (2 * n * n + 1) * n * 8
 
     def test_peak_memory_of_a_testbed_hessian(self):
-        # the objective sees 64 KiB blocks, so its temporaries stay small
-        # beside the points; one call on all the points peaks at 3x them
+        # the objective gets the points in blocks, so its temporaries stay
+        # small beside the points; one call on all the points peaks at 3x them
         n = 60
         tf, x, _ = _family_point("rosenbrock-chained", n, 5)
         f = ObjectiveFn(tf.fn, n)
@@ -471,10 +471,10 @@ class TestAgreesWithScalarStencilsBitwise:
         est = hessian_in_basis(ObjectiveFn(tf.fn, dim), x, basis, FdScheme())
         assert np.array_equal(est.values, reference_hessian_in_basis(tf.fn, x, basis, FdScheme()))
 
-    # batches of more than one 64 KiB block: 3,201 Hessian points in 16
-    # blocks at n = 40, 256 central4 points in 2 blocks at n = 64
+    # batches of more than one block
     @pytest.mark.parametrize("name", ["rosenbrock-chained", "freudenstein-roth"])
     def test_blocked_hessian_in_basis(self, name):
+        assert 2 * 40 * 40 + 1 > _BLOCK_BYTES // (8 * 40)
         tf, x, rng = _family_point(name, 40, 6)
         basis = _basis("orthonormal", 40, rng)
         f = ObjectiveFn(tf.fn, 40)
@@ -483,6 +483,7 @@ class TestAgreesWithScalarStencilsBitwise:
         assert est.evals_used == f.eval_count == 2 * 40 * 40 + 1
 
     def test_blocked_gradient_in_basis(self):
+        assert 4 * 64 > _BLOCK_BYTES // (8 * 64)
         scheme = FdScheme("central", 4)
         tf, x, rng = _family_point("rosenbrock-chained", 64, 7)
         basis = _basis("orthonormal", 64, rng)
