@@ -10,6 +10,7 @@ Exit status is 0 on success and 2 for invalid arguments.
 """
 
 import argparse
+import os
 
 import numpy as np
 
@@ -80,7 +81,15 @@ def _function_or_die(parser, name, dim):
         parser.error(str(exc))
 
 
+def _out_dir_or_die(parser, path):
+    """Exit 2 before any work when the directory of an --out path is missing."""
+    directory = os.path.dirname(path)
+    if directory and not os.path.isdir(directory):
+        parser.error(f"--out {path}: directory {directory} does not exist")
+
+
 def _cmd_bench(parser, args):
+    _out_dir_or_die(parser, args.out)
     _function_or_die(parser, args.function, args.dim)
     scheme = _scheme_or_die(parser, args.scheme, args.step)
     if args.reps < 1:
@@ -95,6 +104,7 @@ def _cmd_bench(parser, args):
 
 
 def _cmd_rotate(parser, args):
+    _out_dir_or_die(parser, args.out)
     try:
         x0 = np.array([float(part) for part in args.x0.split(",")])
     except ValueError:

@@ -121,23 +121,24 @@ def _orthonormality_defect(G):
     return float(np.abs(E, out=E).sum(axis=1).max())
 
 
-def _householder_qr(M):
-    """Householder QR of a square matrix M, normalized so that diag(R) >= 0.
+def _householder_q(M):
+    """Q of the Householder QR of a square matrix M, with diag(R) >= 0.
 
-    Returns (Q, r) with Q orthonormal and r = |diag(R)|.  r[j] is the norm
-    of column j's component orthogonal to the columns before it, so
-    Q[:, 0] = M[:, 0] / |M[:, 0]| and a small r[j] marks column j as
-    numerically dependent on its predecessors.
+    Column j of Q is the normalized component of M's column j orthogonal to
+    the columns before it, so Q[:, 0] = M[:, 0] / |M[:, 0]|.  Raises
+    IllConditionedBasisError, naming the first such column, when a
+    component's norm |R[j, j]| is at or below 1e-10 times the largest
+    column norm of M.
     """
     Q, R = np.linalg.qr(M)
     diag = np.diag(R)
-    return Q * np.where(diag < 0.0, -1.0, 1.0), np.abs(diag)
-
-
-def _dependence_tol(M):
-    """Residual r[j] of _householder_qr at or below which column j of M
-    counts as dependent: 1e-10 times the largest column norm of M."""
-    return _DEPENDENCE_RTOL * np.linalg.norm(M, axis=0).max()
+    tol = _DEPENDENCE_RTOL * np.linalg.norm(M, axis=0).max()
+    dependent = np.flatnonzero(np.abs(diag) <= tol)
+    if dependent.size:
+        raise IllConditionedBasisError(
+            f"basis column {dependent[0]} is linearly dependent within tolerance"
+        )
+    return Q * np.where(diag < 0.0, -1.0, 1.0)
 
 
 class BasisMatrix:
@@ -166,12 +167,7 @@ class BasisMatrix:
         if orthonormal is None:
             orthonormal = defect <= _ORTHONORMAL_TOL
         if not orthonormal:
-            _, r = _householder_qr(G)
-            dependent = np.flatnonzero(r <= _dependence_tol(G))
-            if dependent.size:
-                raise IllConditionedBasisError(
-                    f"basis column {dependent[0]} is linearly dependent within tolerance"
-                )
+            _householder_q(G)  # raises on a dependent column
         G.flags.writeable = False
         self.matrix = G
         self.orthonormal = bool(orthonormal)

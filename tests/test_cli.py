@@ -57,6 +57,18 @@ class TestBenchCommand:
     def test_invalid_arguments_exit_2(self, argv):
         assert run_cli(argv) == 2
 
+    def test_missing_out_directory_exits_2_before_running(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("run_comparison called")
+
+        monkeypatch.setattr(bench, "run_comparison", never)
+        out = tmp_path / "missing" / "r.csv"
+        assert run_cli(["bench", "--function", "rosenbrock-chained", "--dim", "3",
+                        "--reps", "1", "--out", str(out)]) == 2
+        assert str(out) in capsys.readouterr().err
+
 
 class TestRotateCommand:
     def test_writes_csv(self, tmp_path):
@@ -84,6 +96,12 @@ class TestRotateCommand:
     ])
     def test_invalid_arguments_exit_2(self, argv):
         assert run_cli(argv) == 2
+
+    def test_missing_out_directory_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "rot.csv"
+        assert run_cli(["rotate", "--angle-step", "0.5", "--out", str(out)]) == 2
+        assert str(out) in capsys.readouterr().err
+        assert not out.parent.exists()
 
 
 class TestHessianCommand:
