@@ -82,7 +82,10 @@ def _function_or_die(parser, name, dim):
 
 
 def _out_dir_or_die(parser, path):
-    """Exit 2 before any work when the directory of an --out path is missing."""
+    """Exit 2 before any work when an --out path is a directory or its
+    directory is missing."""
+    if os.path.isdir(path):
+        parser.error(f"--out {path}: is a directory")
     directory = os.path.dirname(path)
     if directory and not os.path.isdir(directory):
         parser.error(f"--out {path}: directory {directory} does not exist")

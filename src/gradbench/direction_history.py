@@ -35,6 +35,8 @@ def mgs_orthonormalize(matrix):
     M = np.array(matrix, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("expected a square matrix")
+    if M.shape[0] < 1:
+        raise ValueError("matrix must be at least 1x1")
     if not np.isfinite(M).all():
         raise ValueError("matrix entries must be finite")
     return BasisMatrix(_householder_q(M), orthonormal=True)

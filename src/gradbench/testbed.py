@@ -8,6 +8,12 @@ and grad_mse reduces over the trailing axis.  Each point's value is
 computed with the same operations in the same order as for that point
 alone, provided the batch is C-contiguous, so a batch gives the same bits
 as one call per point.
+
+rosenbrock_pairwise, rosenbrock_chained and freudenstein_roth are in-place
+kernels: each copies the slices its formula reuses into C-contiguous
+arrays once, then applies the formula's operations one at a time into
+those buffers, in the formula's order, so each value has the bits of the
+whole-array expression.  They never write into their argument.
 """
 
 from dataclasses import dataclass
@@ -54,8 +60,16 @@ def rosenbrock_pairwise(x):
     """Sum of independent two-variable banana terms; even dimension only."""
     x = np.asarray(x, dtype=float)
     _require_even(x.shape[-1], "rosenbrock-pairwise")
-    a, b = x[..., 0::2], x[..., 1::2]
-    return np.add.reduce(100.0 * (b - a * a) ** 2 + (1.0 - a) ** 2, axis=-1)
+    # sum of 100 (b - a^2)^2 + (1 - a)^2
+    a = x[..., 0::2].copy()
+    t = a * a
+    np.subtract(x[..., 1::2], t, out=t)
+    np.square(t, out=t)
+    t *= 100.0
+    np.subtract(1.0, a, out=a)
+    np.square(a, out=a)
+    t += a
+    return np.add.reduce(t, axis=-1)
 
 
 rosenbrock_pairwise.batched = True
@@ -79,8 +93,16 @@ def rosenbrock_chained(x):
     x = np.asarray(x, dtype=float)
     if x.shape[-1] < 2:
         raise ValueError("rosenbrock-chained requires dimension >= 2")
-    head, tail = x[..., :-1], x[..., 1:]
-    return np.add.reduce(100.0 * (tail - head ** 2) ** 2 + (1.0 - head) ** 2, axis=-1)
+    # sum over i < n - 1 of 100 (x[i+1] - x[i]^2)^2 + (1 - x[i])^2
+    head = x[..., :-1].copy()
+    t = np.square(head)
+    np.subtract(x[..., 1:], t, out=t)
+    np.square(t, out=t)
+    t *= 100.0
+    np.subtract(1.0, head, out=head)
+    np.square(head, out=head)
+    t += head
+    return np.add.reduce(t, axis=-1)
 
 
 rosenbrock_chained.batched = True
@@ -105,10 +127,24 @@ def freudenstein_roth(x):
     """Paired squared-residual sums; minimum 0 at (5, 4, 5, 4, ...)."""
     x = np.asarray(x, dtype=float)
     _require_even(x.shape[-1], "freudenstein-roth")
-    a, b = x[..., 0::2], x[..., 1::2]
-    r1 = -13.0 + a + b * (b * (5.0 - b) - 2.0)
-    r2 = -29.0 + a + b * (b * (b + 1.0) - 14.0)
-    return np.add.reduce(r1 * r1 + r2 * r2, axis=-1)
+    # sum of (-13 + a + b (b (5 - b) - 2))^2 + (-29 + a + b (b (b + 1) - 14))^2
+    a, b = x[..., 0::2].copy(), x[..., 1::2].copy()
+    t = np.subtract(5.0, b)
+    t *= b
+    t -= 2.0
+    t *= b
+    r1 = np.add(-13.0, a)
+    r1 += t
+    np.add(b, 1.0, out=t)
+    t *= b
+    t -= 14.0
+    t *= b
+    r2 = np.add(-29.0, a, out=a)
+    r2 += t
+    np.square(r1, out=r1)
+    np.square(r2, out=r2)
+    r1 += r2
+    return np.add.reduce(r1, axis=-1)
 
 
 freudenstein_roth.batched = True

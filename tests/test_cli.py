@@ -69,6 +69,17 @@ class TestBenchCommand:
                         "--reps", "1", "--out", str(out)]) == 2
         assert str(out) in capsys.readouterr().err
 
+    def test_out_directory_exits_2_before_running(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("run_comparison called")
+
+        monkeypatch.setattr(bench, "run_comparison", never)
+        assert run_cli(["bench", "--function", "rosenbrock-chained", "--dim", "3",
+                        "--reps", "1", "--out", str(tmp_path)]) == 2
+        assert str(tmp_path) in capsys.readouterr().err
+
 
 class TestRotateCommand:
     def test_writes_csv(self, tmp_path):
@@ -102,6 +113,16 @@ class TestRotateCommand:
         assert run_cli(["rotate", "--angle-step", "0.5", "--out", str(out)]) == 2
         assert str(out) in capsys.readouterr().err
         assert not out.parent.exists()
+
+    def test_out_directory_exits_2_before_running(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("run_rotation_scan called")
+
+        monkeypatch.setattr(bench, "run_rotation_scan", never)
+        assert run_cli(["rotate", "--angle-step", "0.5", "--out", str(tmp_path)]) == 2
+        assert str(tmp_path) in capsys.readouterr().err
 
 
 class TestHessianCommand:

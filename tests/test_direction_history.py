@@ -110,6 +110,10 @@ class TestMgsOrthonormalize:
         with pytest.raises(ValueError):
             mgs_orthonormalize(np.ones((2, 3)))
 
+    def test_empty_matrix_rejected(self):
+        with pytest.raises(ValueError, match="at least 1x1"):
+            mgs_orthonormalize(np.zeros((0, 0)))
+
 
 class TestDirectionHistory:
     def test_fresh_history_is_identity(self):

@@ -10,7 +10,12 @@ from gradbench.testbed import (
     grad_mse,
 )
 
-from oracle import richardson_gradient
+from oracle import (
+    reference_freudenstein_roth,
+    reference_rosenbrock_chained,
+    reference_rosenbrock_pairwise,
+    richardson_gradient,
+)
 
 
 class TestRosenbrock2d:
@@ -151,6 +156,56 @@ class TestBatchedGradients:
         for name in ("rosenbrock-pairwise", "rosenbrock-chained", "freudenstein-roth"):
             assert get_test_function(name, 4).grad(x).shape == (4,)
         assert type(grad_mse(x, np.zeros(4))) is float
+
+
+KERNELS = {
+    "rosenbrock-pairwise": (testbed.rosenbrock_pairwise, reference_rosenbrock_pairwise),
+    "rosenbrock-chained": (testbed.rosenbrock_chained, reference_rosenbrock_chained),
+    "freudenstein-roth": (testbed.freudenstein_roth, reference_freudenstein_roth),
+}
+# 1e155 squares to inf, and inf - inf gives NaN
+SPECIAL_VALUES = (1e155, -1e155, np.inf, -np.inf, np.nan)
+
+
+@st.composite
+def kernel_inputs(draw):
+    """A kernel name and a C-contiguous (k, n) batch or 1-D point for it,
+    sometimes with overflowing, infinite and NaN entries."""
+    name = draw(st.sampled_from(sorted(KERNELS)))
+    if name == "rosenbrock-chained":
+        n = draw(st.integers(2, 30))
+    else:
+        n = 2 * draw(st.integers(1, 15))
+    k = draw(st.integers(0, 40))
+    shape = (n,) if k == 0 else (k, n)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = 10.0 ** draw(st.floats(-3.0, 2.0)) * rng.standard_normal(shape)
+    if draw(st.booleans()):
+        special = rng.random(shape) < draw(st.floats(0.0, 0.5))
+        X[special] = rng.choice(SPECIAL_VALUES, int(special.sum()))
+    return name, X
+
+
+class TestInPlaceKernels:
+    """The kernels give the bits of the whole-array expressions they replace."""
+
+    @PROPERTY_SETTINGS
+    @given(kernel_inputs())
+    def test_kernel_matches_expression_form(self, case):
+        name, X = case
+        kernel, oracle = KERNELS[name]
+        with np.errstate(all="ignore"):
+            assert kernel(X).tobytes() == oracle(X).tobytes()
+
+    @pytest.mark.parametrize("name", sorted(KERNELS))
+    @pytest.mark.parametrize("shape", [(6,), (4, 6)])
+    def test_kernel_never_writes_its_argument(self, name, shape):
+        kernel, oracle = KERNELS[name]
+        X = np.random.default_rng(7).standard_normal(shape)
+        before = X.copy()
+        X.flags.writeable = False
+        assert kernel(X).tobytes() == oracle(X).tobytes()
+        assert X.tobytes() == before.tobytes()
 
 
 class TestGradMse:
