@@ -80,13 +80,17 @@ class Summary:
 
 @dataclass(frozen=True)
 class HessianDemo:
-    """Result of driving BFGS to a mode and estimating the Hessian there."""
+    """Result of driving BFGS to a mode and estimating the Hessian there.
+
+    reason is the run's OptimResult.reason, why BFGS stopped.
+    """
 
     function: str
     dim: int
     x_opt: np.ndarray
     f_opt: float
     converged: bool
+    reason: str
     hessian: np.ndarray
     eig_min: float
     eig_max: float
@@ -271,6 +275,7 @@ def run_hessian_demo(function, dim, seed=0):
         x_opt=result.x_opt,
         f_opt=result.f_opt,
         converged=result.converged,
+        reason=result.reason,
         hessian=estimate.values,
         eig_min=float(eigenvalues[0]),
         eig_max=float(eigenvalues[-1]),

@@ -128,6 +128,7 @@ def _cmd_hessian(parser, args):
     demo = bench.run_hessian_demo(args.function, args.dim, seed=args.seed)
     print(f"function: {demo.function}  dim: {demo.dim}  seed: {args.seed}")
     print(f"converged: {demo.converged}")
+    print(f"stop reason: {demo.reason}")
     print(f"mode: {np.array2string(demo.x_opt, precision=8)}")
     print(f"f at mode: {demo.f_opt:.8e}")
     print("hessian estimate at mode:")

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .finite_difference import _DEPENDENCE_RTOL, BasisMatrix, _householder_q
+from .finite_difference import _DEPENDENCE_RTOL, BasisMatrix, _householder_q, _positive_dim
 
 _ZERO_STEP_TOL = 1e-14
 
@@ -90,9 +90,7 @@ class DirectionHistory:
     """
 
     def __init__(self, dim):
-        if dim < 1:
-            raise ValueError("dim must be a positive integer")
-        self.dim = int(dim)
+        self.dim = _positive_dim(dim)
         self.basis = BasisMatrix.identity(self.dim)
         self.updates_seen = 0
 
@@ -102,9 +100,15 @@ class DirectionHistory:
             raise ValueError(f"expected a difference vector of length {self.dim}")
         if not np.isfinite(delta).all():
             raise ValueError("difference vector must be finite")
-        norm = math.sqrt(delta @ delta)
+        with np.errstate(over="ignore"):
+            norm = math.sqrt(delta @ delta)
         if norm <= _ZERO_STEP_TOL:
             return self  # no movement: keep the current basis
+        if norm == math.inf:
+            # |delta|^2 overflowed; scaling only this branch keeps every
+            # other step's bits
+            delta = delta / np.abs(delta).max()
+            norm = math.sqrt(delta @ delta)
         G = _push_leading(self.basis.matrix, delta / norm)
         self.basis = BasisMatrix(G, orthonormal=True)
         self.updates_seen += 1

@@ -9,6 +9,7 @@ objective the rows in blocks.
 """
 
 import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +18,17 @@ _ORTHONORMAL_TOL = 1e-12
 _DEPENDENCE_RTOL = 1e-10
 _UNIT_NORM_TOL = 1e-12
 _BLOCK_BYTES = 64 * 1024  # see ObjectiveFn.eval_rows
+
+
+def _positive_dim(dim):
+    """dim as an int; ValueError unless it is a Python or numpy integer >= 1."""
+    try:
+        n = operator.index(dim)
+    except TypeError:
+        raise ValueError(f"dim must be an integer, got {dim!r}") from None
+    if n < 1:
+        raise ValueError(f"dim must be a positive integer, got {dim!r}")
+    return n
 
 
 class IllConditionedBasisError(ValueError):
@@ -71,11 +83,9 @@ class ObjectiveFn:
     """
 
     def __init__(self, fn, dim):
-        if dim < 1:
-            raise ValueError("dim must be a positive integer")
+        self.dim = _positive_dim(dim)
         self._fn = fn
         self._batched = bool(getattr(fn, "batched", False))
-        self.dim = int(dim)
         self.eval_count = 0
         self._block_rows = max(1, _BLOCK_BYTES // (8 * self.dim))
 

@@ -3,14 +3,17 @@
 richardson_gradient: four central-difference levels with halved steps,
 extrapolated to eighth order.  reference_rosenbrock_pairwise,
 reference_rosenbrock_chained and reference_freudenstein_roth: the batched
-objectives as whole-array expressions on strided slices, which the
-library's in-place kernels must match bit for bit.  reference_mgs:
+objectives as whole-array expressions on strided slices, their terms added
+one coordinate after another (coordinate_sum), which the library's in-place
+kernels must match bit for bit.  reference_mgs:
 column-by-column modified Gram-Schmidt.  reference_stencil_value,
 reference_gradient_in_basis and reference_hessian_in_basis: the
 finite-difference stencils evaluated one point per call, in loops.  All are
 deliberately separate from the library's own objectives, stencils and
 orthonormalization so the two never share a code path.
 """
+
+import functools
 
 import numpy as np
 
@@ -36,16 +39,27 @@ def richardson_gradient(fn, x, h0=1e-2, levels=4):
     return grad
 
 
+def coordinate_sum(terms):
+    """((terms[..., 0] + terms[..., 1]) + terms[..., 2]) + ... for each point.
+
+    One np.add per coordinate, on contiguous copies of the coordinate
+    slices.  numpy's add loops differ in which of two NaN operands they
+    return (the scalar + and strided loops against the contiguous ones), so
+    only the loops the kernels' sums run give their NaN bits too.
+    """
+    return functools.reduce(np.add, np.ascontiguousarray(np.moveaxis(terms, -1, 0)))
+
+
 def reference_rosenbrock_pairwise(x):
     x = np.asarray(x, dtype=float)
     a, b = x[..., 0::2], x[..., 1::2]
-    return np.add.reduce(100.0 * (b - a * a) ** 2 + (1.0 - a) ** 2, axis=-1)
+    return coordinate_sum(100.0 * (b - a * a) ** 2 + (1.0 - a) ** 2)
 
 
 def reference_rosenbrock_chained(x):
     x = np.asarray(x, dtype=float)
     head, tail = x[..., :-1], x[..., 1:]
-    return np.add.reduce(100.0 * (tail - head ** 2) ** 2 + (1.0 - head) ** 2, axis=-1)
+    return coordinate_sum(100.0 * (tail - head ** 2) ** 2 + (1.0 - head) ** 2)
 
 
 def reference_freudenstein_roth(x):
@@ -53,7 +67,7 @@ def reference_freudenstein_roth(x):
     a, b = x[..., 0::2], x[..., 1::2]
     r1 = -13.0 + a + b * (b * (5.0 - b) - 2.0)
     r2 = -29.0 + a + b * (b * (b + 1.0) - 14.0)
-    return np.add.reduce(r1 * r1 + r2 * r2, axis=-1)
+    return coordinate_sum(r1 * r1 + r2 * r2)
 
 
 def _strip(v, Q, k):

@@ -235,6 +235,11 @@ class TestHessianDemo:
         demo = bench.run_hessian_demo(tf, 2, seed=1)
         np.testing.assert_allclose(demo.hessian, A, atol=1e-6)
 
+    def test_reports_why_bfgs_stopped(self):
+        demo = bench.run_hessian_demo("rosenbrock-chained", 5, seed=0)
+        assert not demo.converged
+        assert demo.reason == "line_search: zoom interval collapsed"
+
     def test_paired_residual_mode_is_positive_definite(self):
         demo = bench.run_hessian_demo("freudenstein-roth", 2, seed=0)
         assert demo.eig_min > 0.0

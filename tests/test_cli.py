@@ -135,6 +135,12 @@ class TestHessianCommand:
         assert "eigenvalue range:" in out
         assert "converged:" in out
 
+    def test_prints_stop_reason_after_converged(self, capsys):
+        assert run_cli(["hessian", "--function", "rosenbrock-chained", "--dim", "5"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        i = lines.index("converged: False")
+        assert lines[i + 1] == "stop reason: line_search: zoom interval collapsed"
+
     def test_invalid_function_exits_2(self):
         assert run_cli(["hessian", "--function", "nope", "--dim", "2"]) == 2
 

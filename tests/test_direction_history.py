@@ -185,6 +185,22 @@ class TestDirectionHistory:
         with pytest.raises(ValueError):
             DirectionHistory(3).update(np.ones(2))
 
+    def test_non_integral_dimension_rejected(self):
+        with pytest.raises(ValueError, match="2.9"):
+            DirectionHistory(2.9)
+        assert DirectionHistory(np.int64(3)).dim == 3
+
+    def test_step_whose_squared_norm_overflows_leads(self):
+        # |delta|^2 = 1e400 overflows; the step is finite and must lead
+        hist = DirectionHistory(2).update(np.array([1e200, 0.0]))
+        assert hist.basis.matrix[:, 0].tolist() == [1.0, 0.0]
+        assert hist.updates_seen == 1
+
+    def test_oblique_step_whose_squared_norm_overflows_leads(self):
+        hist = DirectionHistory(2).update(np.array([3e200, 4e200]))
+        np.testing.assert_allclose(hist.basis.matrix[:, 0], [0.6, 0.8], rtol=0, atol=1e-15)
+        assert orthonormality_defect(hist.basis.matrix) <= 1e-12
+
     @pytest.mark.parametrize("norm", [2e-14, 1e-12, 9e-11])
     def test_tiny_step_leads_like_any_other(self, norm):
         # A step above the 1e-14 no-movement threshold is a direction, however

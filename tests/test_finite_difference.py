@@ -86,6 +86,11 @@ class TestObjectiveFn:
         with pytest.raises(ValueError):
             ObjectiveFn(lambda x: 0.0, 0)
 
+    def test_rejects_non_integral_dim(self):
+        with pytest.raises(ValueError, match="2.7"):
+            ObjectiveFn(lambda x: 0.0, 2.7)
+        assert ObjectiveFn(lambda x: 0.0, np.int32(2)).dim == 2
+
     @pytest.mark.parametrize("name,dim", FAMILIES)
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_rows_equal_single_calls_bitwise(self, name, dim, order):

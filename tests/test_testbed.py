@@ -198,7 +198,7 @@ class TestInPlaceKernels:
             assert kernel(X).tobytes() == oracle(X).tobytes()
 
     @pytest.mark.parametrize("name", sorted(KERNELS))
-    @pytest.mark.parametrize("shape", [(6,), (4, 6)])
+    @pytest.mark.parametrize("shape", [(6,), (4, 6), (1, 2)])
     def test_kernel_never_writes_its_argument(self, name, shape):
         kernel, oracle = KERNELS[name]
         X = np.random.default_rng(7).standard_normal(shape)
@@ -206,6 +206,37 @@ class TestInPlaceKernels:
         X.flags.writeable = False
         assert kernel(X).tobytes() == oracle(X).tobytes()
         assert X.tobytes() == before.tobytes()
+
+
+class TestCoordinateOrderSum:
+    """Each point's terms are added in coordinate order, batched or alone."""
+
+    # The kernels at dimensions with 8 or more terms per point, where
+    # numpy's pairwise summation of a contiguous row would differ.
+    DIMS = {"rosenbrock2d": 2, "rosenbrock-pairwise": 18,
+            "rosenbrock-chained": 25, "freudenstein-roth": 26}
+
+    @pytest.mark.parametrize("name", FUNCTION_NAMES)
+    @pytest.mark.parametrize("lead", [(), (1,), (2,), (7,), (7, 1), (1, 1)])
+    def test_batch_rows_equal_lone_points(self, name, lead):
+        tf = get_test_function(name, self.DIMS[name])
+        rng = np.random.default_rng(11)
+        for scale in (1e-2, 1.0, 30.0):
+            X = tf.optimum + scale * rng.standard_normal(lead + (tf.dim,))
+            values = tf.fn(X)
+            assert np.shape(values) == lead
+            for index in np.ndindex(*lead):
+                point = np.array(X[index])
+                assert np.asarray(values)[index].tobytes() == tf.fn(point).tobytes()
+
+    def test_small_terms_after_a_large_one_are_added_in_order(self):
+        # one term of 1 and seven of about 1e-16: each small term rounds away
+        # against 1, where a pairwise sum adds them first and keeps them
+        a = 1.0 + 1e-8
+        x = np.array([0.0, 0.0] + [a, a * a] * 7)
+        assert testbed.rosenbrock_pairwise(x) == 1.0
+        assert testbed.rosenbrock_pairwise(x[None]).tolist() == [1.0]
+        assert testbed.rosenbrock_pairwise(np.stack([x, x, x])).tolist() == [1.0] * 3
 
 
 class TestGradMse:
@@ -242,6 +273,11 @@ class TestRegistry:
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):
             get_test_function("sphere", 3)
+
+    def test_non_integral_dimension_rejected(self):
+        with pytest.raises(ValueError, match="3.9"):
+            get_test_function("rosenbrock-chained", 3.9)
+        assert get_test_function("rosenbrock-chained", np.int64(3)).dim == 3
 
     @pytest.mark.parametrize("name,dim", [
         ("rosenbrock2d", 3),
