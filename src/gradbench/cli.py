@@ -15,10 +15,8 @@ import os
 import numpy as np
 
 from . import bench
-from .finite_difference import FdScheme
+from .finite_difference import SCHEME_NAMES, FdScheme
 from .testbed import FUNCTION_NAMES, get_test_function
-
-SCHEME_NAMES = ("central1", "central4", "forward1")
 
 
 def build_parser():
@@ -69,7 +67,7 @@ def build_parser():
 
 def _scheme_or_die(parser, name, step):
     try:
-        return FdScheme.from_name(name, step=step)
+        return FdScheme(name, step)
     except ValueError as exc:
         parser.error(str(exc))
 
@@ -82,8 +80,10 @@ def _function_or_die(parser, name, dim):
 
 
 def _out_dir_or_die(parser, path):
-    """Exit 2 before any work when an --out path is a directory or its
-    directory is missing."""
+    """Exit 2 before any work when an --out path is empty, is a directory
+    or names a directory that is missing."""
+    if not path:
+        parser.error("--out must not be empty")
     if os.path.isdir(path):
         parser.error(f"--out {path}: is a directory")
     directory = os.path.dirname(path)

@@ -14,9 +14,20 @@ import math
 
 import numpy as np
 
-from .finite_difference import _DEPENDENCE_RTOL, BasisMatrix, _householder_q, _positive_dim
+from .finite_difference import (
+    _DEPENDENCE_RTOL, BasisMatrix, _householder_q, _orthonormality_defect, _positive_dim,
+)
 
 _ZERO_STEP_TOL = 1e-14
+
+
+def _orthonormal_basis(G):
+    """BasisMatrix(G); ValueError unless it measures orthonormal."""
+    basis = BasisMatrix(G)
+    if not basis.orthonormal:
+        raise ValueError(f"basis is not orthonormal: ||G^T G - I||_inf = "
+                         f"{_orthonormality_defect(basis.matrix):.3e}")
+    return basis
 
 
 def mgs_orthonormalize(matrix):
@@ -28,7 +39,8 @@ def mgs_orthonormalize(matrix):
     diag(R) >= 0, not Gram-Schmidt.  Dependent input raises
     IllConditionedBasisError by the rule a general BasisMatrix applies: a
     column whose residual is at or below 1e-10 times the largest input
-    column norm.  The name is historical; the benchmark harness in
+    column norm.  A result that does not measure orthonormal within 1e-12
+    raises ValueError.  The name is historical; the benchmark harness in
     perfbench/ looks the function up by it, so it changes together with
     that harness (ROADMAP open items 7 and 10).
     """
@@ -39,7 +51,7 @@ def mgs_orthonormalize(matrix):
         raise ValueError("matrix must be at least 1x1")
     if not np.isfinite(M).all():
         raise ValueError("matrix entries must be finite")
-    return BasisMatrix(_householder_q(M), orthonormal=True)
+    return _orthonormal_basis(_householder_q(M))
 
 
 def _push_leading(Q, u):
@@ -86,7 +98,8 @@ class DirectionHistory:
     behind it], taken by a rank-one update, so column 0 is always the
     latest step's direction.  One older direction is dropped per step: the
     oldest, or, when the step makes an older direction dependent (a
-    residual within 1e-10), the first such one.
+    residual within 1e-10), the first such one.  An update whose basis is
+    not orthonormal within 1e-12 raises ValueError and changes nothing.
     """
 
     def __init__(self, dim):
@@ -109,8 +122,7 @@ class DirectionHistory:
             # other step's bits
             delta = delta / np.abs(delta).max()
             norm = math.sqrt(delta @ delta)
-        G = _push_leading(self.basis.matrix, delta / norm)
-        self.basis = BasisMatrix(G, orthonormal=True)
+        self.basis = _orthonormal_basis(_push_leading(self.basis.matrix, delta / norm))
         self.updates_seen += 1
         return self
 

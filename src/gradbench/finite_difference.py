@@ -18,10 +18,13 @@ _ORTHONORMAL_TOL = 1e-12
 _DEPENDENCE_RTOL = 1e-10
 _UNIT_NORM_TOL = 1e-12
 _BLOCK_BYTES = 64 * 1024  # see ObjectiveFn.eval_rows
+SCHEME_NAMES = ("central1", "central4", "forward1")
 
 
 def _positive_dim(dim):
-    """dim as an int; ValueError unless it is a Python or numpy integer >= 1."""
+    """dim as an int; ValueError unless it is a Python or numpy integer >= 1, not a bool."""
+    if isinstance(dim, bool):
+        raise ValueError(f"dim must be an integer, got {dim!r}")
     try:
         n = operator.index(dim)
     except TypeError:
@@ -37,39 +40,26 @@ class IllConditionedBasisError(ValueError):
 
 @dataclass(frozen=True)
 class FdScheme:
-    """Finite-difference scheme descriptor.
+    """Finite-difference scheme: a named stencil and its step.
 
-    kind is "central" or "forward"; order is 1 (two-point) or 4 (five-point
-    central).  Forward differences exist only at order 1.  step is the
-    absolute step length h, applied as-is regardless of the scale of x.
+    name is one of SCHEME_NAMES: the two-point central, five-point central
+    and two-point forward stencils, in that order.  step is the absolute
+    step length h, applied as-is regardless of the scale of x.
     """
 
-    kind: str = "central"
-    order: int = 1
+    name: str = "central1"
     step: float = 1e-3
 
     def __post_init__(self):
-        if self.kind not in ("central", "forward"):
-            raise ValueError(f"unknown scheme kind {self.kind!r}")
-        if self.order not in (1, 4):
-            raise ValueError(f"unsupported scheme order {self.order}")
-        if self.kind == "forward" and self.order == 4:
-            raise ValueError("forward differences are only available at order 1")
+        if self.name not in SCHEME_NAMES:
+            raise ValueError(f"unknown scheme name {self.name!r}")
         if not 0.0 < self.step < np.inf:
             raise ValueError("step must be positive and finite")
 
     @classmethod
     def from_name(cls, name, step=1e-3):
-        """Build a scheme from its short name: central1, central4 or forward1."""
-        table = {
-            "central1": ("central", 1),
-            "central4": ("central", 4),
-            "forward1": ("forward", 1),
-        }
-        if name not in table:
-            raise ValueError(f"unknown scheme name {name!r}")
-        kind, order = table[name]
-        return cls(kind=kind, order=order, step=step)
+        """FdScheme(name, step); perfbench/workloads.py builds schemes this way."""
+        return cls(name, step)
 
 
 class ObjectiveFn:
@@ -103,7 +93,9 @@ class ObjectiveFn:
         enough for the allocator to reuse from call to call instead of
         mapping and faulting them in anew.  A row-wise reduction sums each
         row in the same order as a lone point, so the values equal those of
-        m single calls bit for bit.  Any other callable is called row by row.
+        m single calls bit for bit, except that a NaN value's sign bit may
+        differ: numpy's add loops do not all return the same one of two NaN
+        operands.  Any other callable is called row by row.
         """
         X = np.ascontiguousarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.dim:
@@ -154,14 +146,14 @@ def _householder_q(M):
 class BasisMatrix:
     """Square non-singular matrix whose columns serve as derivative directions.
 
-    With orthonormal=True the matrix must satisfy ||G^T G - I||_inf <= 1e-12
-    (verified at construction).  With orthonormal=None the flag is detected
-    against the same tolerance.  Non-orthonormal matrices are accepted as
-    long as every column's residual against the columns before it (the
-    diagonal of a QR factor) stays above 1e-10 times the largest column norm.
+    .orthonormal is measured: True when ||G^T G - I||_inf <= 1e-12.  Any
+    other matrix is accepted as long as every column's residual against the
+    columns before it (the diagonal of a QR factor) stays above 1e-10 times
+    the largest column norm.  mgs_orthonormalize and DirectionHistory.update
+    promise an orthonormal basis and raise ValueError when theirs is not.
     """
 
-    def __init__(self, columns, orthonormal=None):
+    def __init__(self, columns):
         G = np.array(columns, dtype=float)
         if G.ndim != 2 or G.shape[0] != G.shape[1]:
             raise ValueError("basis must be a square matrix")
@@ -169,18 +161,11 @@ class BasisMatrix:
             raise ValueError("basis must be at least 1x1")
         if not np.isfinite(G).all():
             raise ValueError("basis entries must be finite")
-        defect = _orthonormality_defect(G)
-        if orthonormal is True and defect > _ORTHONORMAL_TOL:
-            raise ValueError(
-                f"matrix flagged orthonormal but ||G^T G - I||_inf = {defect:.3e}"
-            )
-        if orthonormal is None:
-            orthonormal = defect <= _ORTHONORMAL_TOL
-        if not orthonormal:
+        self.orthonormal = _orthonormality_defect(G) <= _ORTHONORMAL_TOL
+        if not self.orthonormal:
             _householder_q(G)  # raises on a dependent column
         G.flags.writeable = False
         self.matrix = G
-        self.orthonormal = bool(orthonormal)
 
     @property
     def dim(self):
@@ -191,13 +176,13 @@ class BasisMatrix:
     def identity(cls, n):
         """The n x n identity basis.  Built once per n and shared (it is
         read-only); the 16 most recently used dimensions are kept."""
-        return cls(np.eye(n), orthonormal=True)
+        return cls(np.eye(n))
 
     @classmethod
     def rotation_2d(cls, angle):
         """Counter-clockwise rotation of the plane by `angle` radians."""
         c, s = np.cos(angle), np.sin(angle)
-        return cls(np.array([[c, -s], [s, c]]), orthonormal=True)
+        return cls(np.array([[c, -s], [s, c]]))
 
     def __repr__(self):
         return f"BasisMatrix(dim={self.dim}, orthonormal={self.orthonormal})"
@@ -240,20 +225,20 @@ def _gradient_along_columns(f, x, columns, scheme):
     h = scheme.step
     U = columns.T  # row i is the direction columns[:, i]
     n = U.shape[0]
-    if scheme.kind == "forward":
+    if scheme.name == "forward1":
         P = np.empty((n + 1, x.size))
         P[0] = x
         np.add(x, h * U, out=P[1:])
         F = f.eval_rows(P)
         return (F[1:] - F[0]) / h
-    if scheme.order == 1:
+    if scheme.name == "central1":
         hU = h * U
         P = np.empty((2 * n, x.size))
         np.add(x, hU, out=P[:n])
         np.subtract(x, hU, out=P[n:])
         plus, minus = f.eval_rows(P).reshape(2, -1)
         return (plus - minus) / (2.0 * h)
-    hU, h2U = h * U, 2.0 * h * U
+    hU, h2U = h * U, 2.0 * h * U  # central4
     P = np.empty((4 * n, x.size))
     np.add(x, h2U, out=P[:n])
     np.add(x, hU, out=P[n:2 * n])

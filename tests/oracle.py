@@ -130,10 +130,10 @@ def reference_mgs(matrix):
 def reference_stencil_value(fn, x, u, scheme, f_base=None):
     """One finite-difference value along u, one objective call per point."""
     h = scheme.step
-    if scheme.kind == "forward":
+    if scheme.name == "forward1":
         base = float(fn(x)) if f_base is None else f_base
         return (float(fn(x + h * u)) - base) / h
-    if scheme.order == 1:
+    if scheme.name == "central1":
         return (float(fn(x + h * u)) - float(fn(x - h * u))) / (2.0 * h)
     return (
         -float(fn(x + 2.0 * h * u))
@@ -147,7 +147,7 @@ def reference_gradient_in_basis(fn, x, basis, scheme):
     """Gradient along the columns of a BasisMatrix, mapped back to the axes."""
     G = basis.matrix
     n = G.shape[1]
-    f_base = float(fn(x)) if scheme.kind == "forward" else None
+    f_base = float(fn(x)) if scheme.name == "forward1" else None
     inner = np.empty(n)
     for i in range(n):
         inner[i] = reference_stencil_value(fn, x, G[:, i], scheme, f_base=f_base)

@@ -58,8 +58,8 @@ class TestRunComparison:
 
     def test_pairwise_30_history_stays_orthonormal(self):
         # from this start, column-by-column Gram-Schmidt left the history
-        # basis ~2e-12 from orthonormal, past the 1e-12 that BasisMatrix
-        # demands of a basis flagged orthonormal, and the race raised
+        # basis ~2e-12 from orthonormal, past the 1e-12 within which
+        # DirectionHistory.update must keep it, and the race raised
         records = bench.run_comparison("rosenbrock-pairwise", 30, reps=1, seed=5)
         assert {r.method for r in records} == {"vanilla", "smart"}
         assert all(np.isfinite(r.mse) for r in records)

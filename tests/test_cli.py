@@ -1,8 +1,11 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import gradbench
 from gradbench import bench
 from gradbench.cli import main
 
@@ -80,6 +83,15 @@ class TestBenchCommand:
                         "--reps", "1", "--out", str(tmp_path)]) == 2
         assert str(tmp_path) in capsys.readouterr().err
 
+    def test_empty_out_exits_2_before_running(self, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("run_comparison called")
+
+        monkeypatch.setattr(bench, "run_comparison", never)
+        assert run_cli(["bench", "--function", "rosenbrock-chained", "--dim", "3",
+                        "--reps", "1", "--out", ""]) == 2
+        assert "--out must not be empty" in capsys.readouterr().err
+
 
 class TestRotateCommand:
     def test_writes_csv(self, tmp_path):
@@ -123,6 +135,14 @@ class TestRotateCommand:
         monkeypatch.setattr(bench, "run_rotation_scan", never)
         assert run_cli(["rotate", "--angle-step", "0.5", "--out", str(tmp_path)]) == 2
         assert str(tmp_path) in capsys.readouterr().err
+
+    def test_empty_out_exits_2_before_running(self, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("run_rotation_scan called")
+
+        monkeypatch.setattr(bench, "run_rotation_scan", never)
+        assert run_cli(["rotate", "--angle-step", "0.5", "--out", ""]) == 2
+        assert "--out must not be empty" in capsys.readouterr().err
 
 
 class TestHessianCommand:
@@ -183,18 +203,26 @@ class TestSummarizeCommand:
         assert "line 3" in capsys.readouterr().err
 
 
+def run_module(*args):
+    """Run `python -m gradbench` with the imported package first on the path."""
+    src = str(Path(gradbench.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "gradbench", *args],
+                          capture_output=True, text=True, env=env)
+
+
 class TestConsoleEntryPoints:
     def test_module_invocation(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "gradbench", "--help"],
-            capture_output=True, text=True,
-        )
+        proc = run_module("--help")
         assert proc.returncode == 0
         assert "bench" in proc.stdout and "rotate" in proc.stdout
 
     def test_bad_subcommand_exits_2(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "gradbench", "explode"],
-            capture_output=True, text=True,
-        )
+        assert run_module("explode").returncode == 2
+
+    def test_module_summarize_of_a_missing_file_exits_2(self, tmp_path):
+        missing = tmp_path / "absent.csv"
+        proc = run_module("summarize", "--in", str(missing))
         assert proc.returncode == 2
+        assert str(missing) in proc.stderr

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gradbench import direction_history
 from gradbench.direction_history import DirectionHistory, mgs_orthonormalize
 from gradbench.finite_difference import BasisMatrix, IllConditionedBasisError
 from oracle import reference_mgs
@@ -114,12 +115,35 @@ class TestMgsOrthonormalize:
         with pytest.raises(ValueError, match="at least 1x1"):
             mgs_orthonormalize(np.zeros((0, 0)))
 
+    def test_result_that_is_not_orthonormal_raises(self, monkeypatch):
+        # a full-rank Q scaled by 1 + 1e-9 is a valid general BasisMatrix;
+        # the orthonormal result promised here must refuse it
+        householder_q = direction_history._householder_q
+        monkeypatch.setattr(direction_history, "_householder_q",
+                            lambda M: householder_q(M) * (1.0 + 1e-9))
+        M = np.random.default_rng(11).standard_normal((4, 4))
+        with pytest.raises(ValueError, match="orthonormal"):
+            mgs_orthonormalize(M)
+
 
 class TestDirectionHistory:
     def test_fresh_history_is_identity(self):
         hist = DirectionHistory(3)
         np.testing.assert_array_equal(hist.basis.matrix, np.eye(3))
         assert hist.updates_seen == 0
+
+    def test_update_that_is_not_orthonormal_raises_and_keeps_the_history(
+        self, monkeypatch
+    ):
+        hist = DirectionHistory(4).update(np.array([1.0, 2.0, -0.5, 0.3]))
+        basis = hist.basis
+        push_leading = direction_history._push_leading
+        monkeypatch.setattr(direction_history, "_push_leading",
+                            lambda Q, u: push_leading(Q, u) * (1.0 + 1e-9))
+        with pytest.raises(ValueError, match="orthonormal"):
+            hist.update(np.array([0.2, -1.0, 0.7, 0.1]))
+        assert hist.basis is basis
+        assert hist.updates_seen == 1
 
     def test_worked_example_sequence(self):
         hist = DirectionHistory(2)
@@ -188,6 +212,8 @@ class TestDirectionHistory:
     def test_non_integral_dimension_rejected(self):
         with pytest.raises(ValueError, match="2.9"):
             DirectionHistory(2.9)
+        with pytest.raises(ValueError, match="True"):
+            DirectionHistory(True)
         assert DirectionHistory(np.int64(3)).dim == 3
 
     def test_step_whose_squared_norm_overflows_leads(self):

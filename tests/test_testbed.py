@@ -277,6 +277,8 @@ class TestRegistry:
     def test_non_integral_dimension_rejected(self):
         with pytest.raises(ValueError, match="3.9"):
             get_test_function("rosenbrock-chained", 3.9)
+        with pytest.raises(ValueError, match="True"):
+            get_test_function("rosenbrock-chained", True)
         assert get_test_function("rosenbrock-chained", np.int64(3)).dim == 3
 
     @pytest.mark.parametrize("name,dim", [
