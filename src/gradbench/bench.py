@@ -20,7 +20,7 @@ from .finite_difference import (
     gradient_in_basis,
     vanilla_gradient,
 )
-from .optimizer import bfgs_minimize
+from .optimizer import OptimResult, bfgs_minimize
 from .smart_estimator import wrap
 from .testbed import TestFunction, get_test_function, grad_mse, rosenbrock2d, rosenbrock2d_grad
 
@@ -89,11 +89,12 @@ class HessianDemo:
     dim: int
     x_opt: np.ndarray
     f_opt: float
-    converged: bool
     reason: str
     hessian: np.ndarray
     eig_min: float
     eig_max: float
+
+    converged = OptimResult.converged  # the same test of reason
 
 
 def _rep_rng(seed, rep):
@@ -274,7 +275,6 @@ def run_hessian_demo(function, dim, seed=0):
         dim=dim,
         x_opt=result.x_opt,
         f_opt=result.f_opt,
-        converged=result.converged,
         reason=result.reason,
         hessian=estimate.values,
         eig_min=float(eigenvalues[0]),

@@ -42,7 +42,7 @@ def build_parser():
     rotate_p = sub.add_parser(
         "rotate", help="scan gradient-estimate error over rotated bases"
     )
-    rotate_p.add_argument("--x0", default="-0.29,0.40",
+    rotate_p.add_argument("--x0", default=",".join(map(repr, bench.DEFAULT_ROTATION_POINT)),
                           help="evaluation point as 'a,b'")
     rotate_p.add_argument("--angle-step", type=float,
                           default=float(bench.DEFAULT_ANGLE_STEP))

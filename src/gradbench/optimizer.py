@@ -53,10 +53,13 @@ class OptimResult:
     f_opt: float
     iterations: int
     trajectory: np.ndarray  # accepted iterates, row 0 is the starting point
-    converged: bool
     # why the run stopped: "grad_tol", "max_iters", "non_finite" or
     # "line_search: <message>"
     reason: str
+
+    @property
+    def converged(self):
+        return self.reason == "grad_tol"
 
 
 def line_search(f, x, d, f0, g0):
@@ -240,7 +243,6 @@ def bfgs_minimize(f, grad, x0, opts=None):
         f_opt=fx,
         iterations=iterations,
         trajectory=np.array(trajectory),
-        converged=reason == "grad_tol",
         reason=reason or "max_iters",
     )
 

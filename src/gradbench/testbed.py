@@ -1,8 +1,11 @@
 """Analytic benchmark functions, their gradients, and the error metric.
 
-The four objectives are batched: each takes points along its trailing axis,
-input (..., n) and output (...), so a 1-D point is a batch of one, and is
-marked `batched = True` for ObjectiveFn.eval_rows.  Their analytic
+A family is one row of _families() (name, objective, analytic gradient,
+dimension rule, repeating unit of the optimum) plus its objective and
+gradient, which apply the rule to their input's last axis.  The objectives
+are batched: each takes points along its trailing axis, input (..., n) and
+output (...), so a 1-D point is a batch of one, and is marked
+`batched = True` for ObjectiveFn.eval_rows.  Their analytic
 gradients are batched the same way, input (..., n) and output (..., n),
 and grad_mse reduces over the trailing axis.  Each point's value is
 computed with the same operations in the same order as for that point
@@ -31,15 +34,18 @@ import numpy as np
 
 from .finite_difference import _positive_dim
 
-FUNCTION_NAMES = (
-    "rosenbrock2d",
-    "rosenbrock-pairwise",
-    "rosenbrock-chained",
-    "freudenstein-roth",
-)
+
+def _dim_two(n, name):
+    if n != 2:
+        raise ValueError(f"{name} requires dimension 2, got {n}")
 
 
-def _require_even(n, name):
+def _dim_min_two(n, name):
+    if n < 2:
+        raise ValueError(f"{name} requires dimension >= 2, got {n}")
+
+
+def _dim_even(n, name):
     if n % 2 != 0 or n < 2:
         raise ValueError(f"{name} requires an even dimension >= 2, got {n}")
 
@@ -71,6 +77,7 @@ def _sum_terms(t):
 def rosenbrock2d(x):
     """Banana-valley function on R^2; minimum 0 at (1, 1)."""
     x = np.asarray(x, dtype=float)
+    _dim_two(x.shape[-1], "rosenbrock2d")
     x1, x2 = x[..., 0], x[..., 1]
     return (1.0 - x1) ** 2 + 100.0 * (x2 - x1 * x1) ** 2
 
@@ -80,6 +87,7 @@ rosenbrock2d.batched = True
 
 def rosenbrock2d_grad(x):
     x = np.asarray(x, dtype=float)
+    _dim_two(x.shape[-1], "rosenbrock2d")
     x1, x2 = x[..., 0], x[..., 1]
     g = np.empty_like(x)
     g[..., 0] = -2.0 * (1.0 - x1) - 400.0 * x1 * (x2 - x1 * x1)
@@ -93,7 +101,7 @@ rosenbrock2d_grad.batched = True
 def rosenbrock_pairwise(x):
     """Sum of independent two-variable banana terms; even dimension only."""
     x = np.asarray(x, dtype=float)
-    _require_even(x.shape[-1], "rosenbrock-pairwise")
+    _dim_even(x.shape[-1], "rosenbrock-pairwise")
     # sum of 100 (b - a^2)^2 + (1 - a)^2
     a, b = _term_major(x[..., 0::2]), _term_major(x[..., 1::2])
     t = a * a
@@ -111,7 +119,7 @@ rosenbrock_pairwise.batched = True
 
 def rosenbrock_pairwise_grad(x):
     x = np.asarray(x, dtype=float)
-    _require_even(x.shape[-1], "rosenbrock-pairwise")
+    _dim_even(x.shape[-1], "rosenbrock-pairwise")
     a, b = x[..., 0::2], x[..., 1::2]
     g = np.empty_like(x)
     g[..., 0::2] = -400.0 * a * (b - a * a) - 2.0 * (1.0 - a)
@@ -125,8 +133,7 @@ rosenbrock_pairwise_grad.batched = True
 def rosenbrock_chained(x):
     """Banana chain coupling consecutive coordinates; any dimension >= 2."""
     x = np.asarray(x, dtype=float)
-    if x.shape[-1] < 2:
-        raise ValueError("rosenbrock-chained requires dimension >= 2")
+    _dim_min_two(x.shape[-1], "rosenbrock-chained")
     # sum over i < n - 1 of 100 (x[i+1] - x[i]^2)^2 + (1 - x[i])^2
     # head and tail overlap in one copy: tail is read before head is written
     xt = _term_major(x)
@@ -146,8 +153,7 @@ rosenbrock_chained.batched = True
 
 def rosenbrock_chained_grad(x):
     x = np.asarray(x, dtype=float)
-    if x.shape[-1] < 2:
-        raise ValueError("rosenbrock-chained requires dimension >= 2")
+    _dim_min_two(x.shape[-1], "rosenbrock-chained")
     head = x[..., :-1]
     g = np.zeros_like(x)
     t = x[..., 1:] - head ** 2
@@ -162,7 +168,7 @@ rosenbrock_chained_grad.batched = True
 def freudenstein_roth(x):
     """Paired squared-residual sums; minimum 0 at (5, 4, 5, 4, ...)."""
     x = np.asarray(x, dtype=float)
-    _require_even(x.shape[-1], "freudenstein-roth")
+    _dim_even(x.shape[-1], "freudenstein-roth")
     # sum of (-13 + a + b (b (5 - b) - 2))^2 + (-29 + a + b (b (b + 1) - 14))^2
     a, b = _term_major(x[..., 0::2]), _term_major(x[..., 1::2])
     t = np.subtract(5.0, b)
@@ -188,7 +194,7 @@ freudenstein_roth.batched = True
 
 def freudenstein_roth_grad(x):
     x = np.asarray(x, dtype=float)
-    _require_even(x.shape[-1], "freudenstein-roth")
+    _dim_even(x.shape[-1], "freudenstein-roth")
     a, b = x[..., 0::2], x[..., 1::2]
     r1 = -13.0 + a + b * (b * (5.0 - b) - 2.0)
     r2 = -29.0 + a + b * (b * (b + 1.0) - 14.0)
@@ -232,35 +238,26 @@ class TestFunction:
     optimum: Optional[np.ndarray] = None
 
 
-def get_test_function(name, dim):
-    """Build the named test function at the requested dimension.
+def _families():
+    """The family rows, built per call from the module's current functions
+    so that one rebound on the module (a tracer wraps them) is handed out."""
+    return {
+        "rosenbrock2d": (rosenbrock2d, rosenbrock2d_grad, _dim_two, (1.0,)),
+        "rosenbrock-pairwise": (rosenbrock_pairwise, rosenbrock_pairwise_grad, _dim_even, (1.0,)),
+        "rosenbrock-chained": (rosenbrock_chained, rosenbrock_chained_grad, _dim_min_two, (1.0,)),
+        "freudenstein-roth": (freudenstein_roth, freudenstein_roth_grad, _dim_even, (5.0, 4.0)),
+    }
 
-    Raises ValueError for unknown names or invalid (name, dim) pairs, e.g.
-    odd dimensions for the pairwise families.
-    """
+
+FUNCTION_NAMES = tuple(_families())
+
+
+def get_test_function(name, dim):
+    """Build the named test function at the requested dimension; ValueError
+    for an unknown name or a dimension the family's rule refuses."""
     dim = _positive_dim(dim)
-    if name == "rosenbrock2d":
-        if dim != 2:
-            raise ValueError("rosenbrock2d is two-dimensional")
-        return TestFunction(name, 2, rosenbrock2d, rosenbrock2d_grad, np.ones(2))
-    if name == "rosenbrock-pairwise":
-        _require_even(dim, name)
-        return TestFunction(
-            name, dim, rosenbrock_pairwise, rosenbrock_pairwise_grad, np.ones(dim)
-        )
-    if name == "rosenbrock-chained":
-        if dim < 2:
-            raise ValueError("rosenbrock-chained requires dimension >= 2")
-        return TestFunction(
-            name, dim, rosenbrock_chained, rosenbrock_chained_grad, np.ones(dim)
-        )
-    if name == "freudenstein-roth":
-        _require_even(dim, name)
-        return TestFunction(
-            name,
-            dim,
-            freudenstein_roth,
-            freudenstein_roth_grad,
-            np.tile(np.array([5.0, 4.0]), dim // 2),
-        )
-    raise ValueError(f"unknown test function {name!r}")
+    if name not in FUNCTION_NAMES:
+        raise ValueError(f"unknown test function {name!r}")
+    fn, grad, rule, unit = _families()[name]
+    rule(dim, name)
+    return TestFunction(name, dim, fn, grad, np.tile(unit, dim // len(unit)))

@@ -110,6 +110,11 @@ class TestRunComparison:
             bench.run_comparison("no-such-function", 4, reps=1, seed=0)
         with pytest.raises(ValueError):
             bench.run_comparison("rosenbrock-chained", 3, reps=0, seed=0)
+        chained3 = get_test_function("rosenbrock-chained", 3)
+        with pytest.raises(ValueError, match="dim does not match"):
+            bench.run_comparison(chained3, 4, reps=1, seed=0)
+        with pytest.raises(ValueError, match="unknown method"):
+            bench._recorded_run(chained3, np.zeros(3), FdScheme(), "newton")
 
 
 class TestBenchRecord:

@@ -161,8 +161,13 @@ class TestHessianCommand:
         i = lines.index("converged: False")
         assert lines[i + 1] == "stop reason: line_search: zoom interval collapsed"
 
-    def test_invalid_function_exits_2(self):
-        assert run_cli(["hessian", "--function", "nope", "--dim", "2"]) == 2
+    @pytest.mark.parametrize("argv", [
+        ["hessian", "--function", "nope", "--dim", "2"],
+        ["hessian", "--function", "rosenbrock2d", "--dim", "3"],
+        ["hessian", "--function", "rosenbrock2d", "--dim", "2", "--seed", "-1"],
+    ])
+    def test_invalid_arguments_exit_2(self, argv):
+        assert run_cli(argv) == 2
 
 
 class TestSummarizeCommand:
@@ -189,18 +194,18 @@ class TestSummarizeCommand:
     def test_missing_file_exits_2(self, tmp_path):
         assert run_cli(["summarize", "--in", str(tmp_path / "absent.csv")]) == 2
 
-    def test_missing_column_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("text,message", [
+        ("function,dim,rep,iteration,method,grad_norm\nf,2,0,0,smart,1.0\n", "mse"),
+        ("function,dim,rep,iteration,method,mse,grad_norm\n"
+         "f,2,0,0,smart,1.0,2.0\nf,2,0,1,sma", "line 3"),
+        ("function,dim,rep,iteration,method,mse,grad_norm\n"
+         "f,2,0,0,smart,1.0,1.0\n", "both methods"),
+    ], ids=["missing-column", "truncated-row", "one-method"])
+    def test_bad_records_exit_2(self, tmp_path, capsys, text, message):
         path = tmp_path / "records.csv"
-        path.write_text("function,dim,rep,iteration,method,grad_norm\nf,2,0,0,smart,1.0\n")
+        path.write_text(text)
         assert run_cli(["summarize", "--in", str(path)]) == 2
-        assert "mse" in capsys.readouterr().err
-
-    def test_truncated_row_exits_2(self, tmp_path, capsys):
-        path = tmp_path / "records.csv"
-        path.write_text("function,dim,rep,iteration,method,mse,grad_norm\n"
-                        "f,2,0,0,smart,1.0,2.0\nf,2,0,1,sma")
-        assert run_cli(["summarize", "--in", str(path)]) == 2
-        assert "line 3" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
 
 def run_module(*args):

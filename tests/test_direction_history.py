@@ -107,13 +107,14 @@ class TestMgsOrthonormalize:
         out = mgs_orthonormalize(M)
         assert orthonormality_defect(out.matrix) <= 1e-12
 
-    def test_non_square_rejected(self):
-        with pytest.raises(ValueError):
-            mgs_orthonormalize(np.ones((2, 3)))
-
-    def test_empty_matrix_rejected(self):
-        with pytest.raises(ValueError, match="at least 1x1"):
-            mgs_orthonormalize(np.zeros((0, 0)))
+    @pytest.mark.parametrize("matrix,match", [
+        (np.ones((2, 3)), "square"),
+        (np.zeros((0, 0)), "at least 1x1"),
+        (np.array([[1.0, 0.0], [np.nan, 1.0]]), "finite"),
+    ], ids=["non-square", "empty", "non-finite"])
+    def test_malformed_matrix_rejected(self, matrix, match):
+        with pytest.raises(ValueError, match=match):
+            mgs_orthonormalize(matrix)
 
     def test_result_that_is_not_orthonormal_raises(self, monkeypatch):
         # a full-rank Q scaled by 1 + 1e-9 is a valid general BasisMatrix;
@@ -205,9 +206,16 @@ class TestDirectionHistory:
         assert isinstance(hist.basis, BasisMatrix)
         assert hist.basis.orthonormal
 
-    def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            DirectionHistory(3).update(np.ones(2))
+    @pytest.mark.parametrize("step,match", [
+        (np.ones(2), "length 3"),
+        (np.array([1.0, np.inf, 0.0]), "finite"),
+    ], ids=["wrong-length", "non-finite"])
+    def test_malformed_step_rejected_and_history_kept(self, step, match):
+        hist = DirectionHistory(3)
+        with pytest.raises(ValueError, match=match):
+            hist.update(step)
+        assert hist.updates_seen == 0
+        np.testing.assert_array_equal(hist.basis.matrix, np.eye(3))
 
     def test_non_integral_dimension_rejected(self):
         with pytest.raises(ValueError, match="2.9"):

@@ -217,9 +217,14 @@ class TestBasisMatrix:
         with pytest.raises(IllConditionedBasisError):
             BasisMatrix(G)
 
-    def test_non_square_rejected(self):
-        with pytest.raises(ValueError):
-            BasisMatrix(np.ones((2, 3)))
+    @pytest.mark.parametrize("columns,match", [
+        (np.ones((2, 3)), "square"),
+        (np.zeros((0, 0)), "at least 1x1"),
+        (np.array([[1.0, 0.0], [0.0, np.inf]]), "finite"),
+    ], ids=["non-square", "empty", "non-finite"])
+    def test_malformed_matrix_rejected(self, columns, match):
+        with pytest.raises(ValueError, match=match):
+            BasisMatrix(columns)
 
     def test_matrix_is_read_only(self):
         basis = BasisMatrix.identity(2)
@@ -269,6 +274,8 @@ class TestDirectionalDerivative:
         f = ObjectiveFn(lambda x: float(x[0]), 2)
         with pytest.raises(ValueError):
             directional_derivative(f, np.zeros(2), np.array([1.0, 1.0]), FdScheme())
+        with pytest.raises(ValueError, match="direction must match"):
+            directional_derivative(f, np.zeros(2), np.array([1.0, 0.0, 0.0]), FdScheme())
 
     def test_fourth_order_matches_on_smooth_function(self):
         f = ObjectiveFn(lambda x: float(np.sin(x[0]) * np.cos(x[1])), 2)
@@ -364,6 +371,8 @@ class TestGradientInBasis:
         f = ObjectiveFn(lambda x: float(x[0]), 2)
         with pytest.raises(ValueError):
             gradient_in_basis(f, np.zeros(3), BasisMatrix.identity(2), FdScheme())
+        with pytest.raises(ValueError, match="basis dimension"):
+            gradient_in_basis(f, np.zeros(2), BasisMatrix.identity(3), FdScheme())
 
 
 class TestHessianInBasis:
@@ -405,6 +414,10 @@ class TestHessianInBasis:
         G = BasisMatrix(np.array([[1.0, 1.0], [0.0, 2.0]]))
         with pytest.raises(ValueError):
             hessian_in_basis(self._quad(), np.zeros(2), G, FdScheme())
+
+    def test_dimension_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="basis dimension"):
+            hessian_in_basis(self._quad(), np.zeros(2), BasisMatrix.identity(3), FdScheme())
 
     def test_pair_indices_are_built_once_per_dimension(self):
         pairs = _lower_pairs(6)

@@ -255,13 +255,14 @@ class TestGradMse:
 
 
 class TestRegistry:
+    DIMS = {"rosenbrock2d": 2, "rosenbrock-pairwise": 4,
+            "rosenbrock-chained": 5, "freudenstein-roth": 4}
+
     def test_all_names_resolve(self):
-        dims = {"rosenbrock2d": 2, "rosenbrock-pairwise": 4,
-                "rosenbrock-chained": 5, "freudenstein-roth": 4}
         for name in FUNCTION_NAMES:
-            tf = get_test_function(name, dims[name])
+            tf = get_test_function(name, self.DIMS[name])
             assert tf.name == name
-            assert tf.dim == dims[name]
+            assert tf.dim == self.DIMS[name]
 
     def test_optima_are_stationary(self):
         for name, dim in [("rosenbrock2d", 2), ("rosenbrock-pairwise", 6),
@@ -282,6 +283,7 @@ class TestRegistry:
         assert get_test_function("rosenbrock-chained", np.int64(3)).dim == 3
 
     @pytest.mark.parametrize("name,dim", [
+        ("rosenbrock2d", 1),
         ("rosenbrock2d", 3),
         ("rosenbrock-pairwise", 5),
         ("rosenbrock-chained", 1),
@@ -290,3 +292,9 @@ class TestRegistry:
     def test_invalid_dimensions_rejected(self, name, dim):
         with pytest.raises(ValueError):
             get_test_function(name, dim)
+        # the objective and gradient check their input's last axis too
+        tf = get_test_function(name, self.DIMS[name])
+        for f in (tf.fn, tf.grad):
+            for x in (np.zeros(dim), np.zeros((3, dim))):
+                with pytest.raises(ValueError):
+                    f(x)

@@ -31,6 +31,10 @@ def test_traced_race_installs_hooks_and_restores_names():
         for reason in ("grad_tol", "max_iters", "early")
     )
     assert stops == 2  # one BFGS run per method
+    # the registry hands out the wrapped objective and gradient
+    calls, _, _ = spans.aggregate(tracer.spans)
+    assert calls["testbed.objective"] > 0
+    assert calls["testbed.analytic_grad"] > 0
     assert tracer.counts["optimizer.bfgs_minimize.iterations"] > 0
     assert tracer.counts["optimizer.line_search.evals"] > 0
     assert tracer.counts["finite_difference.gradient_in_basis.evals"] > 0
