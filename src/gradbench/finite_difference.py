@@ -77,9 +77,14 @@ class ObjectiveFn:
         self._fn = fn
         self._batched = bool(getattr(fn, "batched", False))
         self.eval_count = 0
+        self._shape = (self.dim,)
         self._block_rows = max(1, _BLOCK_BYTES // (8 * self.dim))
 
     def __call__(self, x):
+        """f at the point x, a vector of shape (dim,); counts one evaluation."""
+        x = np.asarray(x, float)  # a dtype= keyword costs 0.1 us more per call
+        if x.shape != self._shape:
+            raise ValueError(f"expected a point of shape ({self.dim},), got shape {x.shape}")
         self.eval_count += 1
         return float(self._fn(x))
 

@@ -5,8 +5,9 @@ The gradient callback is invoked exactly once per accepted iterate
 search works from function values alone, checking the curvature condition
 with one-dimensional central differences along the search ray.  This keeps
 stateful gradient callbacks fed with genuine accepted steps.  The two
-points of each such difference go to the objective as one batch of two
-rows (ObjectiveFn.eval_rows).
+points of each such difference go to the objective as two lone points,
+like a trial step: a test-function family sums a lone point in Python
+floats, which costs less than a batch of two in numpy.
 
 The line-search constants are fixed at the standard quasi-Newton values
 (Nocedal & Wright, *Numerical Optimization*, 2nd ed., section 3.1):
@@ -68,9 +69,9 @@ def line_search(f, x, d, f0, g0):
     Bracketing with doubling trial steps starting at 1, then a zoom phase
     with safeguarded quadratic interpolation.  The curvature condition is
     checked with central differences of a -> f(x + a d), whose two points
-    are evaluated as one batch; g0 is the gradient at x and gives the slope
-    at a = 0.  f may be an ObjectiveFn or a plain callable, which is
-    wrapped in one.
+    are evaluated one after the other, each counted once; g0 is the
+    gradient at x and gives the slope at a = 0.  f may be an ObjectiveFn or
+    a plain callable, which is wrapped in one.
 
     A trial step whose value is not finite (NaN or +-inf) fails the
     sufficient-decrease condition, so the search shrinks the step away
@@ -92,9 +93,7 @@ def line_search(f, x, d, f0, g0):
 
     def dphi(a):
         step = _CURVATURE_FD_STEP * max(1.0, abs(a))
-        # rows x + (a + step) d and x + (a - step) d, computed as phi computes x + a d
-        plus, minus = f.eval_rows(x + np.array([[a + step], [a - step]]) * d).tolist()
-        return (plus - minus) / (2.0 * step)
+        return (phi(a + step) - phi(a - step)) / (2.0 * step)
 
     alpha_prev, phi_prev, dphi_prev = 0.0, f0, dphi0
     alpha = 1.0

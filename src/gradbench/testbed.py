@@ -25,8 +25,20 @@ use these values.  The kernels never write into their argument.  Where a
 value is NaN, the batch row and the lone point are both NaN but may differ
 in sign: numpy's add loops do not all return the same one of two NaN
 operands.
+
+rosenbrock_chained and freudenstein_roth evaluate a lone point (a 1-D
+argument) in Python floats instead: the same operations in the same order,
+and the terms added first to last, so the value has the bits of the array
+path.  The running sum starts at 0.0, which adds exactly: each term is a
+sum of two squares, so never -0.0, and 0.0 + t is t for every other t.  A
+lone point has a handful of terms, and each numpy ufunc call costs about a
+microsecond of dispatch, more than the arithmetic; the BFGS line search
+sends its trial steps and curvature probes as lone points.  A point whose
+value is not finite goes on to the array path, so it keeps numpy's
+RuntimeWarnings and np.errstate.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -64,10 +76,12 @@ def _sum_terms(t):
 
     Gives ((t[0] + t[1]) + t[2]) + ... for every point.  A reduce over the
     leading axis of a C-contiguous batch adds whole rows one after another;
-    for a lone point numpy would sum the k contiguous terms pairwise
-    instead, so that goes through accumulate, which is sequential by
-    definition.  Either way a batch row has the bits of its lone point, up
-    to a NaN's sign (see the module docstring).
+    for one point, numpy would sum the k contiguous terms pairwise instead,
+    so that goes through accumulate, which is sequential by definition.
+    One point here is a (1, n) batch, a lone point of rosenbrock_pairwise,
+    or a lone point of the other kernels whose value is not finite.
+    Either way a batch row has the bits of its lone point, up to a NaN's
+    sign (see the module docstring).
     """
     if t.size == t.shape[0]:
         return np.add.accumulate(t, axis=0)[-1]
@@ -132,9 +146,18 @@ rosenbrock_pairwise_grad.batched = True
 
 def rosenbrock_chained(x):
     """Banana chain coupling consecutive coordinates; any dimension >= 2."""
-    x = np.asarray(x, dtype=float)
+    x = np.asarray(x, float)
     _dim_min_two(x.shape[-1], "rosenbrock-chained")
     # sum over i < n - 1 of 100 (x[i+1] - x[i]^2)^2 + (1 - x[i])^2
+    if x.ndim == 1:
+        v = x.tolist()
+        total = 0.0
+        for a, b in zip(v, v[1:]):
+            t = b - a * a
+            u = 1.0 - a
+            total += t * t * 100.0 + u * u
+        if math.isfinite(total):
+            return np.float64(total)
     # head and tail overlap in one copy: tail is read before head is written
     xt = _term_major(x)
     head, tail = xt[:-1], xt[1:]
@@ -167,9 +190,18 @@ rosenbrock_chained_grad.batched = True
 
 def freudenstein_roth(x):
     """Paired squared-residual sums; minimum 0 at (5, 4, 5, 4, ...)."""
-    x = np.asarray(x, dtype=float)
+    x = np.asarray(x, float)
     _dim_even(x.shape[-1], "freudenstein-roth")
     # sum of (-13 + a + b (b (5 - b) - 2))^2 + (-29 + a + b (b (b + 1) - 14))^2
+    if x.ndim == 1:
+        v = x.tolist()
+        total = 0.0
+        for a, b in zip(v[0::2], v[1::2]):
+            r1 = -13.0 + a + ((5.0 - b) * b - 2.0) * b
+            r2 = -29.0 + a + ((b + 1.0) * b - 14.0) * b
+            total += r1 * r1 + r2 * r2
+        if math.isfinite(total):
+            return np.float64(total)
     a, b = _term_major(x[..., 0::2]), _term_major(x[..., 1::2])
     t = np.subtract(5.0, b)
     t *= b

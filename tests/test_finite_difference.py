@@ -18,7 +18,12 @@ from gradbench.finite_difference import (
     vanilla_gradient,
 )
 from gradbench.direction_history import mgs_orthonormalize
-from gradbench.testbed import get_test_function, rosenbrock2d, rosenbrock2d_grad
+from gradbench.testbed import (
+    get_test_function,
+    rosenbrock2d,
+    rosenbrock2d_grad,
+    rosenbrock_chained,
+)
 from oracle import (
     reference_gradient_in_basis,
     reference_hessian_in_basis,
@@ -80,6 +85,13 @@ class TestObjectiveFn:
         f(np.zeros(3))
         f(np.ones(3))
         assert f.eval_count == 2
+
+    @pytest.mark.parametrize("shape", [(7,), (3,), (1, 5)])
+    def test_a_point_of_the_wrong_shape_is_refused_uncounted(self, shape):
+        f = ObjectiveFn(rosenbrock_chained, 5)
+        with pytest.raises(ValueError, match=r"\(5,\)"):
+            f(np.zeros(shape))
+        assert f.eval_count == 0
 
     def test_rejects_nonpositive_dim(self):
         with pytest.raises(ValueError):

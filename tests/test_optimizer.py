@@ -91,8 +91,9 @@ class TestLineSearch:
         "name, dim", [("rosenbrock-chained", 25), ("freudenstein-roth", 26)]
     )
     def test_batched_and_row_by_row_objectives_agree_bitwise(self, name, dim):
-        # The curvature probe's two points go to a batched objective as one
-        # call; unbatched and plain callables see them one at a time.
+        # The curvature probe's two points go to every objective as two lone
+        # calls; a batched objective sums a lone point in Python floats,
+        # unbatched and plain callables call the kernel on it as it stands.
         tf = get_test_function(name, dim)
         rng = np.random.default_rng(7)
         for _ in range(20):
@@ -117,6 +118,62 @@ class TestLineSearch:
             results = [outcome(batched), outcome(unbatched), outcome(plain)]
             assert results[0] == results[1] == results[2]
             assert batched.eval_count == unbatched.eval_count == len(plain_calls)
+
+
+def line_search_case(case):
+    """(objective, x, d, f0, g0) of a line search the tests above run."""
+    if case == "parabola":
+        return lambda x: float(x[0] ** 2), np.array([1.0]), np.array([-1.0]), 1.0, np.array([2.0])
+    if case == "rosenbrock2d":
+        x = np.array([-1.2, 1.0])
+        g = rosenbrock2d_grad(x)
+        return rosenbrock2d, x, -g, rosenbrock2d(x), g
+    name, dim, draw = case
+    tf = get_test_function(name, dim)
+    rng = np.random.default_rng(7)
+    for _ in range(draw + 1):
+        x = tf.optimum + rng.standard_normal(dim)
+        g = tf.grad(x)
+        d = -g * 10.0 ** rng.uniform(-4.0, 0.0)
+    return tf.fn, x, d, tf.fn(x), g
+
+
+class TestLineSearchEvaluations:
+    # alpha and f(x + alpha d) as float.hex, and the evaluations spent, as
+    # the line search gave them when a curvature probe was one batch of two
+    # points; a probe still spends two evaluations
+    CASES = [
+        ("parabola", "0x1.0p+0", "0x0.0p+0", 3),
+        ("rosenbrock2d", "0x1.7e26910e629d4p-10", "0x1.ec10f161cb0edp+3", 11),
+        (("rosenbrock-chained", 25, 0), "0x1.0e28ac008f043p-5", "0x1.067334374d4f2p+10", 7),
+        (("rosenbrock-chained", 25, 1), "0x1.0p+0", "0x1.371327135d07dp+11", 4),
+        (("rosenbrock-chained", 25, 2), "0x1.9c20b603db0fcp-6", "0x1.3b6e2522a400ep+10", 8),
+        (("freudenstein-roth", 26, 0), "0x1.0p-4", "0x1.eb42d07eec131p+11", 7),
+        (("freudenstein-roth", 26, 1), "0x1.0p-2", "0x1.e0538022ac8a8p+12", 5),
+        (("freudenstein-roth", 26, 2), "0x1.de29e79ee3d74p-12", "0x1.936fd45791a42p+12", 14),
+    ]
+
+    @pytest.mark.parametrize("case, alpha, value, evals", CASES, ids=[
+        c[0] if isinstance(c[0], str) else f"{c[0][0]}-{c[0][2]}" for c in CASES])
+    def test_results_and_counts_are_unchanged(self, case, alpha, value, evals):
+        fn, x, d, f0, g0 = line_search_case(case)
+        shapes = []
+
+        def recording(z):
+            shapes.append(np.shape(z))
+            return fn(z)
+
+        # marked batched, so that a batch of points would reach it as one call
+        recording.batched = True
+        f = ObjectiveFn(recording, x.size)
+        # a relative 1e-12 leaves room for a BLAS kernel's own np.dot(g0, d)
+        assert line_search(f, x, d, f0, g0) == (
+            pytest.approx(float.fromhex(alpha), rel=1e-12),
+            pytest.approx(float.fromhex(value), rel=1e-12),
+        )
+        # every evaluation is one lone point
+        assert f.eval_count == evals
+        assert shapes == [x.shape] * evals
 
 
 class TestBfgsMinimize:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,25 @@ from oracle import (
     reference_rosenbrock_pairwise,
     richardson_gradient,
 )
+
+
+def accepted_dims(name, high):
+    """The dimensions from 1 to high that the family's rule in
+    testbed._families() accepts."""
+    rule = testbed._families()[name][2]
+    dims = []
+    for n in range(1, high + 1):
+        try:
+            rule(n, name)
+        except ValueError:
+            continue
+        dims.append(n)
+    return dims
+
+
+def largest_dim(name, high):
+    """The largest dimension up to high that the family accepts."""
+    return accepted_dims(name, high)[-1]
 
 
 class TestRosenbrock2d:
@@ -118,12 +139,7 @@ PROPERTY_SETTINGS = settings(
 def batches(draw):
     """A registry function name and a (k, n) batch of points for it."""
     name = draw(st.sampled_from(FUNCTION_NAMES))
-    if name == "rosenbrock2d":
-        n = 2
-    elif name == "rosenbrock-chained":
-        n = draw(st.integers(2, 30))
-    else:
-        n = 2 * draw(st.integers(1, 15))
+    n = draw(st.sampled_from(accepted_dims(name, 30)))
     k = draw(st.integers(1, 6))
     seed = draw(st.integers(0, 2**32 - 1))
     scale = 10.0 ** draw(st.floats(-3.0, 2.0))
@@ -172,10 +188,7 @@ def kernel_inputs(draw):
     """A kernel name and a C-contiguous (k, n) batch or 1-D point for it,
     sometimes with overflowing, infinite and NaN entries."""
     name = draw(st.sampled_from(sorted(KERNELS)))
-    if name == "rosenbrock-chained":
-        n = draw(st.integers(2, 30))
-    else:
-        n = 2 * draw(st.integers(1, 15))
+    n = draw(st.sampled_from(accepted_dims(name, 30)))
     k = draw(st.integers(0, 40))
     shape = (n,) if k == 0 else (k, n)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -211,15 +224,13 @@ class TestInPlaceKernels:
 class TestCoordinateOrderSum:
     """Each point's terms are added in coordinate order, batched or alone."""
 
-    # The kernels at dimensions with 8 or more terms per point, where
-    # numpy's pairwise summation of a contiguous row would differ.
-    DIMS = {"rosenbrock2d": 2, "rosenbrock-pairwise": 18,
-            "rosenbrock-chained": 25, "freudenstein-roth": 26}
-
+    # Each family at its largest dimension up to 26: the kernels then have
+    # 8 or more terms per point, where numpy's pairwise summation of a
+    # contiguous row would differ.
     @pytest.mark.parametrize("name", FUNCTION_NAMES)
     @pytest.mark.parametrize("lead", [(), (1,), (2,), (7,), (7, 1), (1, 1)])
     def test_batch_rows_equal_lone_points(self, name, lead):
-        tf = get_test_function(name, self.DIMS[name])
+        tf = get_test_function(name, largest_dim(name, 26))
         rng = np.random.default_rng(11)
         for scale in (1e-2, 1.0, 30.0):
             X = tf.optimum + scale * rng.standard_normal(lead + (tf.dim,))
@@ -239,6 +250,58 @@ class TestCoordinateOrderSum:
         assert testbed.rosenbrock_pairwise(np.stack([x, x, x])).tolist() == [1.0] * 3
 
 
+# the families whose objective sums a lone point in Python floats
+LONE_POINT_FAMILIES = ("rosenbrock-chained", "freudenstein-roth")
+
+
+@st.composite
+def lone_points(draw):
+    """A family with a lone-point path and one point for it, at coordinate
+    scales from 1e-3 to 1e160, so that many points overflow."""
+    name = draw(st.sampled_from(LONE_POINT_FAMILIES))
+    n = draw(st.sampled_from(accepted_dims(name, 40)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return name, 10.0 ** draw(st.floats(-3.0, 160.0)) * rng.standard_normal(n)
+
+
+def value_and_warned(f, x):
+    """f(x), and whether it gave a RuntimeWarning."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        value = f(x)
+    return value, any(issubclass(w.category, RuntimeWarning) for w in caught)
+
+
+class TestLonePoints:
+    """A lone point is summed in Python floats, with the array path's bits."""
+
+    @PROPERTY_SETTINGS
+    @given(lone_points())
+    def test_lone_point_equals_a_batch_of_one(self, case):
+        name, x = case
+        fn = get_test_function(name, x.size).fn
+        value, warned = value_and_warned(fn, x)
+        (batch_value,), batch_warned = value_and_warned(fn, x[None])
+        assert type(value) is np.float64
+        assert warned == batch_warned
+        if np.isnan(value):
+            assert np.isnan(batch_value)
+        else:
+            assert value.tobytes() == batch_value.tobytes()
+
+    @pytest.mark.parametrize("name", LONE_POINT_FAMILIES)
+    def test_finite_lone_point_never_takes_the_array_path(self, name, monkeypatch):
+        def array_path(s):
+            raise AssertionError("the array path was taken")
+
+        monkeypatch.setattr(testbed, "_term_major", array_path)
+        tf = get_test_function(name, 10)
+        x = tf.optimum + np.random.default_rng(3).standard_normal(10)
+        assert np.isfinite(tf.fn(x))
+        with pytest.raises(AssertionError, match="array path"):
+            tf.fn(x[None])
+
+
 class TestGradMse:
     def test_identical_vectors(self):
         assert grad_mse([1.0, 2.0], [1.0, 2.0]) == 0.0
@@ -255,18 +318,16 @@ class TestGradMse:
 
 
 class TestRegistry:
-    DIMS = {"rosenbrock2d": 2, "rosenbrock-pairwise": 4,
-            "rosenbrock-chained": 5, "freudenstein-roth": 4}
-
     def test_all_names_resolve(self):
         for name in FUNCTION_NAMES:
-            tf = get_test_function(name, self.DIMS[name])
+            dim = largest_dim(name, 5)
+            tf = get_test_function(name, dim)
             assert tf.name == name
-            assert tf.dim == self.DIMS[name]
+            assert tf.dim == dim
 
     def test_optima_are_stationary(self):
-        for name, dim in [("rosenbrock2d", 2), ("rosenbrock-pairwise", 6),
-                          ("rosenbrock-chained", 7), ("freudenstein-roth", 6)]:
+        for name in FUNCTION_NAMES:
+            dim = largest_dim(name, 7)
             tf = get_test_function(name, dim)
             assert tf.fn(tf.optimum) == pytest.approx(0.0, abs=1e-12)
             np.testing.assert_allclose(tf.grad(tf.optimum), np.zeros(dim), atol=1e-10)
@@ -293,7 +354,7 @@ class TestRegistry:
         with pytest.raises(ValueError):
             get_test_function(name, dim)
         # the objective and gradient check their input's last axis too
-        tf = get_test_function(name, self.DIMS[name])
+        tf = get_test_function(name, largest_dim(name, 5))
         for f in (tf.fn, tf.grad):
             for x in (np.zeros(dim), np.zeros((3, dim))):
                 with pytest.raises(ValueError):
