@@ -14,20 +14,9 @@ import math
 
 import numpy as np
 
-from .finite_difference import (
-    _DEPENDENCE_RTOL, BasisMatrix, _householder_q, _orthonormality_defect, _positive_dim,
-)
+from .finite_difference import _DEPENDENCE_RTOL, BasisMatrix, _householder_q, _positive_dim
 
 _ZERO_STEP_TOL = 1e-14
-
-
-def _orthonormal_basis(G):
-    """BasisMatrix(G); ValueError unless it measures orthonormal."""
-    basis = BasisMatrix(G)
-    if not basis.orthonormal:
-        raise ValueError(f"basis is not orthonormal: ||G^T G - I||_inf = "
-                         f"{_orthonormality_defect(basis.matrix):.3e}")
-    return basis
 
 
 def mgs_orthonormalize(matrix):
@@ -51,7 +40,7 @@ def mgs_orthonormalize(matrix):
         raise ValueError("matrix must be at least 1x1")
     if not np.isfinite(M).all():
         raise ValueError("matrix entries must be finite")
-    return _orthonormal_basis(_householder_q(M))
+    return BasisMatrix._adopt(_householder_q(M))
 
 
 def _push_leading(Q, u):
@@ -60,12 +49,16 @@ def _push_leading(Q, u):
     Q is orthonormal and u a unit vector.  With c = Q^T u and the suffix sums
     s_j = sum_{m>=j} c_m^2, column j of Q has residual sqrt(s_{j+1}/s_j)
     against u and the columns before it.  k is the first column whose
-    residual is at or below 1e-10, else n - 1 (the oldest).  Column j < k
-    becomes sqrt(s_{j+1}/s_j) Q e_j - c_j / sqrt(s_j s_{j+1}) times
-    sum_{m=j+1..k} c_m Q e_m, its normalized residual; the columns after k
-    keep their place with u projected out (u's weight on them is below
-    1e-10).  In exact arithmetic, up to that weight, this is the Householder
-    QR of [u, Q without column k] with diag(R) >= 0.
+    residual is at or below 1e-10, else n - 1 (the oldest); the sums are
+    scanned for it as Python floats, one comparison s_{j+1} <= 1e-20 s_j at
+    a time.  Column j < k becomes sqrt(s_{j+1}/s_j) Q e_j - c_j /
+    sqrt(s_j s_{j+1}) times sum_{m=j+1..k} c_m Q e_m, its normalized
+    residual; the columns after k, if any, keep their place with u
+    projected out (u's weight on them is below 1e-10).  In exact
+    arithmetic, up to that weight, this is the Householder QR of [u, Q
+    without column k] with diag(R) >= 0.  Every column is written in place
+    into the returned matrix, a fresh array the caller adopts as its basis
+    (BasisMatrix._adopt measures it once).
 
     Column 0 is u itself, not Q c, and c is renormalized.  Either keeps
     ||G^T G - I||_inf bounded over any number of updates; without both it
@@ -73,18 +66,26 @@ def _push_leading(Q, u):
     """
     c = Q.T @ u
     c /= math.sqrt(c @ c)
-    s = np.cumsum((c * c)[::-1])[::-1]
-    dependent = np.flatnonzero(s[1:] <= _DEPENDENCE_RTOL ** 2 * s[:-1])
-    k = int(dependent[0]) if dependent.size else s.size - 1
+    # np.add.accumulate is np.cumsum without its Python-level dispatch
+    s = np.add.accumulate((c * c)[::-1])[::-1]
+    sums = s.tolist()
+    n = len(sums)
+    k = n - 1
+    bound = _DEPENDENCE_RTOL ** 2
+    for j in range(k):
+        if sums[j + 1] <= bound * sums[j]:
+            k = j
+            break
     head, tail = s[:k], s[1:k + 1]
-    # tails[:, j] = sum_{m=j..k} c_m Q[:, m]
-    tails = np.cumsum((Q[:, :k + 1] * c[:k + 1])[:, ::-1], axis=1)[:, ::-1]
+    # tails[:, j - 1] = sum_{m=j..k} c_m Q[:, m]
+    tails = np.add.accumulate((Q[:, 1:k + 1] * c[1:k + 1])[:, ::-1], axis=1)[:, ::-1]
     G = np.empty_like(Q)
     G[:, 0] = u
-    G[:, 1:k + 1] = Q[:, :k] * np.sqrt(tail / head) - tails[:, 1:] * (
-        c[:k] / np.sqrt(head * tail)
-    )
-    G[:, k + 1:] = Q[:, k + 1:] - u[:, None] * c[k + 1:]
+    new = G[:, 1:k + 1]
+    np.multiply(Q[:, :k], np.sqrt(tail / head), out=new)
+    new -= tails * (c[:k] / np.sqrt(head * tail))
+    if k < n - 1:
+        np.subtract(Q[:, k + 1:], u[:, None] * c[k + 1:], out=G[:, k + 1:])
     return G
 
 
@@ -111,18 +112,18 @@ class DirectionHistory:
         delta = np.asarray(delta_x, dtype=float)
         if delta.shape != (self.dim,):
             raise ValueError(f"expected a difference vector of length {self.dim}")
-        if not np.isfinite(delta).all():
-            raise ValueError("difference vector must be finite")
         with np.errstate(over="ignore"):
             norm = math.sqrt(delta @ delta)
         if norm <= _ZERO_STEP_TOL:
-            return self  # no movement: keep the current basis
-        if norm == math.inf:
-            # |delta|^2 overflowed; scaling only this branch keeps every
-            # other step's bits
+            return self  # no movement, -0.0 included: keep the current basis
+        if not norm < math.inf:
+            # NaN or inf: an entry is not finite, or |delta|^2 overflowed
+            if not np.isfinite(delta).all():
+                raise ValueError("difference vector must be finite")
+            # scaling only this branch keeps every other step's bits
             delta = delta / np.abs(delta).max()
             norm = math.sqrt(delta @ delta)
-        self.basis = _orthonormal_basis(_push_leading(self.basis.matrix, delta / norm))
+        self.basis = BasisMatrix._adopt(_push_leading(self.basis.matrix, delta / norm))
         self.updates_seen += 1
         return self
 

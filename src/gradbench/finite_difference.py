@@ -9,6 +9,7 @@ objective the rows in blocks.
 """
 
 import functools
+import math
 import operator
 from dataclasses import dataclass
 
@@ -121,26 +122,43 @@ class ObjectiveFn:
         return values
 
 
+@functools.lru_cache(maxsize=16)
+def _eye(n):
+    """The n x n identity as a read-only array.  Built once per n and shared;
+    the 16 most recently used dimensions are kept."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
+
+
 def _orthonormality_defect(G):
     """Infinity norm of G^T G - I (max absolute row sum)."""
     E = G.T @ G
-    E.flat[:: E.shape[0] + 1] -= 1.0  # minus I, on the diagonal in place
+    np.subtract(E, _eye(E.shape[0]), out=E)
     return float(np.abs(E, out=E).sum(axis=1).max())
 
 
 def _householder_q(M):
-    """Q of the Householder QR of a square matrix M, with diag(R) >= 0.
+    """Q of the Householder QR of a square finite matrix M, with diag(R) >= 0.
 
     Column j of Q is the normalized component of M's column j orthogonal to
     the columns before it, so Q[:, 0] = M[:, 0] / |M[:, 0]|.  Raises
     IllConditionedBasisError, naming the first such column, when a
     component's norm |R[j, j]| is at or below 1e-10 times the largest
-    column norm of M.
+    column norm of M.  When a column norm overflows, M is first scaled by
+    the power of two that brings max |M| into [0.5, 1): the scaling is
+    exact and leaves Q and every comparison as they are in exact
+    arithmetic, and a matrix whose norms do not overflow is factored as it
+    stands.
     """
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(M, axis=0).max()
+    if norm == math.inf:
+        M = M * 2.0 ** -math.frexp(np.abs(M).max())[1]
+        norm = np.linalg.norm(M, axis=0).max()
     Q, R = np.linalg.qr(M)
     diag = np.diag(R)
-    tol = _DEPENDENCE_RTOL * np.linalg.norm(M, axis=0).max()
-    dependent = np.flatnonzero(np.abs(diag) <= tol)
+    dependent = np.flatnonzero(np.abs(diag) <= _DEPENDENCE_RTOL * norm)
     if dependent.size:
         raise IllConditionedBasisError(
             f"basis column {dependent[0]} is linearly dependent within tolerance"
@@ -151,11 +169,17 @@ def _householder_q(M):
 class BasisMatrix:
     """Square non-singular matrix whose columns serve as derivative directions.
 
-    .orthonormal is measured: True when ||G^T G - I||_inf <= 1e-12.  Any
+    .orthonormal is measured: True when ||G^T G - I||_inf <= 1e-12.  An
+    orthonormal G has max |G| <= 1, so a matrix with max |G| > 2 is not
+    measured (its G^T G could overflow); that one max-abs is also the
+    finiteness check, since it is NaN or inf exactly when an entry is.  Any
     other matrix is accepted as long as every column's residual against the
     columns before it (the diagonal of a QR factor) stays above 1e-10 times
-    the largest column norm.  mgs_orthonormalize and DirectionHistory.update
-    promise an orthonormal basis and raise ValueError when theirs is not.
+    the largest column norm.  BasisMatrix(...) copies its argument and
+    checks all of this.  A basis the library builds itself and promises
+    orthonormal (mgs_orthonormalize, DirectionHistory.update) is adopted
+    by _adopt instead: not copied, measured once, and refused with
+    ValueError when it does not measure orthonormal.
     """
 
     def __init__(self, columns):
@@ -164,13 +188,31 @@ class BasisMatrix:
             raise ValueError("basis must be a square matrix")
         if G.shape[0] < 1:
             raise ValueError("basis must be at least 1x1")
-        if not np.isfinite(G).all():
+        largest = float(np.abs(G).max())
+        if not largest < math.inf:
             raise ValueError("basis entries must be finite")
-        self.orthonormal = _orthonormality_defect(G) <= _ORTHONORMAL_TOL
+        self.orthonormal = largest <= 2.0 and _orthonormality_defect(G) <= _ORTHONORMAL_TOL
         if not self.orthonormal:
             _householder_q(G)  # raises on a dependent column
         G.flags.writeable = False
         self.matrix = G
+
+    @classmethod
+    def _adopt(cls, G):
+        """The orthonormal basis G, a fresh array the library has just built.
+
+        G becomes the basis's read-only matrix without a copy.  Its defect
+        is the one check: it is NaN or inf when an entry is not finite.
+        ValueError unless it measures orthonormal.
+        """
+        defect = _orthonormality_defect(G)
+        if not defect <= _ORTHONORMAL_TOL:
+            raise ValueError(f"basis is not orthonormal: ||G^T G - I||_inf = {defect:.3e}")
+        basis = cls.__new__(cls)
+        G.flags.writeable = False
+        basis.matrix = G
+        basis.orthonormal = True
+        return basis
 
     @property
     def dim(self):
@@ -215,7 +257,7 @@ def directional_derivative(f, x, u, scheme=FdScheme()):
     _check_point(f, x)
     if u.shape != x.shape:
         raise ValueError("direction must match the dimension of x")
-    if abs(np.linalg.norm(u) - 1.0) > _UNIT_NORM_TOL:
+    if not abs(np.linalg.norm(u) - 1.0) <= _UNIT_NORM_TOL:  # NaN fails too
         raise ValueError("u must be a unit vector")
     return float(_gradient_along_columns(f, x, u[:, None], scheme)[0])
 
@@ -265,6 +307,11 @@ def gradient_in_basis(f, x, basis, scheme=FdScheme()):
     _check_point(f, x)
     if basis.dim != f.dim:
         raise ValueError("basis dimension does not match the objective")
+    return _gradient_estimate(f, x, basis, scheme)
+
+
+def _gradient_estimate(f, x, basis, scheme):
+    """gradient_in_basis for a caller that has checked x and basis.dim."""
     before = f.eval_count
     inner = _gradient_along_columns(f, x, basis.matrix, scheme)
     if basis.orthonormal:

@@ -83,7 +83,7 @@ def line_search(f, x, d, f0, g0):
     """
     d = np.asarray(d, dtype=float)
     dphi0 = float(np.dot(g0, d))
-    if dphi0 >= 0.0:
+    if not dphi0 < 0.0:  # NaN is not a descent slope either
         raise ValueError("d is not a descent direction")
     if not isinstance(f, ObjectiveFn):
         f = ObjectiveFn(f, d.size)

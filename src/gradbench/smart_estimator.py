@@ -11,7 +11,7 @@ coincides exactly with the canonical-basis one.
 import numpy as np
 
 from .direction_history import DirectionHistory
-from .finite_difference import FdScheme, _check_point, gradient_in_basis, hessian_in_basis
+from .finite_difference import FdScheme, _check_point, _gradient_estimate, hessian_in_basis
 
 
 class SmartEstimator:
@@ -30,16 +30,18 @@ class SmartEstimator:
     def smart_gradient(self, x):
         """Gradient estimate at x in the current history basis.
 
-        When x differs from the previous query point (exact componentwise
-        comparison), the displacement is folded into the history first, so
-        the estimate at the new iterate already uses the step that led
-        there.  Repeated queries at the same point leave the basis alone.
+        The displacement from the previous query point is folded into the
+        history first, so the estimate at the new iterate already uses the
+        step that led there.  A repeated query at the same point gives a
+        zero displacement (-0.0 entries included), which the history's
+        zero-step rule ignores, so the basis is left alone.  x is checked
+        once, before it touches the history.
         """
         x = np.asarray(x, dtype=float)
-        _check_point(self.objective, x)  # before x touches the history
-        if self.last_x is not None and not np.array_equal(x, self.last_x):
+        _check_point(self.objective, x)
+        if self.last_x is not None:
             self.history.update(x - self.last_x)
-        estimate = gradient_in_basis(self.objective, x, self.history.basis, self.scheme)
+        estimate = _gradient_estimate(self.objective, x, self.history.basis, self.scheme)
         self.last_x = x.copy()
         return estimate
 

@@ -11,9 +11,14 @@ reference_gradient_in_basis and reference_hessian_in_basis: the
 finite-difference stencils evaluated one point per call, in loops.  All are
 deliberately separate from the library's own objectives, stencils and
 orthonormalization so the two never share a code path.
+
+reference_history_step is the exception: it is the direction history's
+rank-one update as first written, whole-array numpy with no fast paths,
+kept so that the library's leaner update can be held to its bytes.
 """
 
 import functools
+import math
 
 import numpy as np
 
@@ -176,3 +181,40 @@ def reference_hessian_in_basis(fn, x, basis, scheme):
             inner[j, i] = cross
     transformed = cols @ inner @ cols.T
     return 0.5 * (transformed + transformed.T)
+
+
+def _reference_push_leading(Q, u):
+    """[u, Q without column k] orthonormalized by the rank-one update."""
+    c = Q.T @ u
+    c /= math.sqrt(c @ c)
+    s = np.cumsum((c * c)[::-1])[::-1]
+    dependent = np.flatnonzero(s[1:] <= 1e-10 ** 2 * s[:-1])
+    k = int(dependent[0]) if dependent.size else s.size - 1
+    head, tail = s[:k], s[1:k + 1]
+    # tails[:, j] = sum_{m=j..k} c_m Q[:, m]
+    tails = np.cumsum((Q[:, :k + 1] * c[:k + 1])[:, ::-1], axis=1)[:, ::-1]
+    G = np.empty_like(Q)
+    G[:, 0] = u
+    G[:, 1:k + 1] = Q[:, :k] * np.sqrt(tail / head) - tails[:, 1:] * (
+        c[:k] / np.sqrt(head * tail)
+    )
+    G[:, k + 1:] = Q[:, k + 1:] - u[:, None] * c[k + 1:]
+    return G
+
+
+def reference_history_step(Q, delta):
+    """The history basis after folding the finite step delta into basis Q.
+
+    None for a step of norm at most 1e-14, which leaves the basis alone.  A
+    step whose squared norm overflows is first divided by its largest
+    absolute entry.
+    """
+    delta = np.array(delta, dtype=float)
+    with np.errstate(over="ignore"):
+        norm = math.sqrt(delta @ delta)
+    if norm <= 1e-14:
+        return None
+    if norm == math.inf:
+        delta = delta / np.abs(delta).max()
+        norm = math.sqrt(delta @ delta)
+    return _reference_push_leading(Q, delta / norm)

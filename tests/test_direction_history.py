@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from gradbench import direction_history
 from gradbench.direction_history import DirectionHistory, mgs_orthonormalize
 from gradbench.finite_difference import BasisMatrix, IllConditionedBasisError
-from oracle import reference_mgs
+from oracle import reference_history_step, reference_mgs
 
 # derandomized so every run draws the same examples; no example database
 PROPERTY_SETTINGS = settings(
@@ -116,6 +116,18 @@ class TestMgsOrthonormalize:
         with pytest.raises(ValueError, match=match):
             mgs_orthonormalize(matrix)
 
+    @pytest.mark.parametrize("M,Q", [
+        (np.diag([1e200, 1e200]), np.eye(2)),
+        (1e300 * np.array([[0.6, -0.8], [0.8, 0.6]]), [[0.6, -0.8], [0.8, 0.6]]),
+    ], ids=["diagonal", "rotation"])
+    def test_large_entries_whose_norms_overflow(self, M, Q):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = mgs_orthonormalize(M)
+        np.testing.assert_allclose(out.matrix, Q, rtol=0, atol=1e-15)
+        with pytest.raises(IllConditionedBasisError, match="column 1 "):
+            mgs_orthonormalize(np.diag([2e154, 1.0]))
+
     def test_result_that_is_not_orthonormal_raises(self, monkeypatch):
         # a full-rank Q scaled by 1 + 1e-9 is a valid general BasisMatrix;
         # the orthonormal result promised here must refuse it
@@ -209,7 +221,8 @@ class TestDirectionHistory:
     @pytest.mark.parametrize("step,match", [
         (np.ones(2), "length 3"),
         (np.array([1.0, np.inf, 0.0]), "finite"),
-    ], ids=["wrong-length", "non-finite"])
+        (np.array([np.nan, 0.0, 0.0]), "finite"),
+    ], ids=["wrong-length", "non-finite", "nan"])
     def test_malformed_step_rejected_and_history_kept(self, step, match):
         hist = DirectionHistory(3)
         with pytest.raises(ValueError, match=match):
@@ -381,3 +394,51 @@ class TestAgreesWithReferenceMgs:
             )
             assert tie_gap == np.inf  # no axis had to be brought in
             assert np.abs(Q - reference).max() <= 1e-8
+
+
+class TestUpdateKeepsReferenceBytes:
+    """DirectionHistory.update against the rank-one update as first written
+    (oracle.reference_history_step): the same bytes after every step."""
+
+    @PROPERTY_SETTINGS
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 26),
+        kinds=st.lists(
+            st.sampled_from(
+                ["generic", "parallel", "near", "span2", "tiny", "overflow", "zero"]
+            ),
+            min_size=1,
+            max_size=10,
+        ),
+    )
+    def test_same_bytes_after_every_step(self, seed, n, kinds):
+        rng = np.random.default_rng(seed)
+        hist = DirectionHistory(n)
+        for kind in kinds:
+            G = hist.basis.matrix
+            if kind == "parallel":  # drops the direction it is parallel to
+                delta = rng.normal() * G[:, rng.integers(0, n)]
+            elif kind == "near":  # in the span of two, up to 3e-12 of the second
+                b = rng.normal()
+                delta = rng.normal() * G[:, 0] + b * G[:, rng.integers(1, n)]
+                delta += 3e-12 * abs(b) * rng.standard_normal(n)
+            elif kind == "span2":  # drops column 1, so k < n - 1 from n = 3
+                delta = rng.normal() * G[:, 0] + rng.normal() * G[:, 1]
+            elif kind == "tiny":  # on either side of the 1e-14 no-movement rule
+                delta = 10.0 ** rng.uniform(-15.0, -10.0) * rng.standard_normal(n)
+            elif kind == "overflow":  # |delta|^2 overflows
+                delta = 1e200 * rng.standard_normal(n)
+            elif kind == "zero":  # the step of a repeated point, signs and all
+                delta = np.where(rng.random(n) < 0.5, -0.0, 0.0)
+            else:
+                delta = rng.standard_normal(n)
+            expected = reference_history_step(G, delta)
+            seen = hist.updates_seen
+            hist.update(delta)
+            if expected is None:
+                assert hist.basis.matrix is G
+                assert hist.updates_seen == seen
+            else:
+                assert hist.basis.matrix.tobytes() == expected.tobytes()
+                assert hist.updates_seen == seen + 1

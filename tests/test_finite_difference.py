@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -229,6 +230,28 @@ class TestBasisMatrix:
         with pytest.raises(IllConditionedBasisError):
             BasisMatrix(G)
 
+    @pytest.mark.parametrize("G", [
+        np.diag([1e200, 1e200]),
+        1e300 * np.array([[0.6, -0.8], [0.8, 0.6]]),
+    ], ids=["diagonal", "rotation"])
+    def test_well_conditioned_basis_with_large_entries_accepted(self, G):
+        # G^T G and the squared column norms overflow; max |G| > 2 skips
+        # the first and a power-of-two rescaling the second
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            basis = BasisMatrix(G)
+        assert not basis.orthonormal
+        assert basis.matrix.tolist() == G.tolist()
+
+    @pytest.mark.parametrize("big", [1e150, 2e154])
+    def test_large_column_makes_a_unit_column_dependent(self, big):
+        # |R[1, 1]| = 1 is below 1e-10 times the largest column norm,
+        # whether or not that norm's square overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IllConditionedBasisError, match="column 1 "):
+                BasisMatrix(np.diag([big, 1.0]))
+
     @pytest.mark.parametrize("columns,match", [
         (np.ones((2, 3)), "square"),
         (np.zeros((0, 0)), "at least 1x1"),
@@ -244,8 +267,8 @@ class TestBasisMatrix:
             basis.matrix[0, 0] = 5.0
 
     def test_orthonormality_defect_equals_subtracting_the_identity(self):
-        # the defect subtracts 1 on the diagonal in place; a fresh identity
-        # must give the same bits
+        # the defect subtracts a cached identity in place; a fresh one must
+        # give the same bits
         rng = np.random.default_rng(3)
         for n in range(1, 31):
             Q = mgs_orthonormalize(rng.standard_normal((n, n))).matrix
@@ -284,8 +307,9 @@ class TestDirectionalDerivative:
 
     def test_non_unit_direction_rejected(self):
         f = ObjectiveFn(lambda x: float(x[0]), 2)
-        with pytest.raises(ValueError):
-            directional_derivative(f, np.zeros(2), np.array([1.0, 1.0]), FdScheme())
+        for u in ([1.0, 1.0], [np.nan, 0.0]):
+            with pytest.raises(ValueError, match="unit vector"):
+                directional_derivative(f, np.zeros(2), np.array(u), FdScheme())
         with pytest.raises(ValueError, match="direction must match"):
             directional_derivative(f, np.zeros(2), np.array([1.0, 0.0, 0.0]), FdScheme())
 

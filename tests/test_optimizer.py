@@ -82,6 +82,17 @@ class TestLineSearch:
         with pytest.raises(ValueError):
             line_search(f, np.array([1.0]), np.array([1.0]), 1.0, np.array([2.0]))
 
+    @pytest.mark.parametrize("d,g0", [
+        ([np.nan, 0.0], [1.0, 1.0]),
+        ([-1.0, 0.0], [np.nan, 1.0]),
+    ], ids=["nan-direction", "nan-gradient"])
+    def test_nan_slope_rejected_before_any_evaluation(self, d, g0):
+        f = ObjectiveFn(rosenbrock2d, 2)
+        x = np.array([-1.2, 1.0])
+        with pytest.raises(ValueError, match="not a descent direction"):
+            line_search(f, x, np.array(d), rosenbrock2d(x), np.array(g0))
+        assert f.eval_count == 0
+
     def test_unbounded_descent_fails(self):
         f = lambda x: float(x[0])
         with pytest.raises(LineSearchError):

@@ -35,6 +35,9 @@ def test_traced_race_installs_hooks_and_restores_names():
     calls, _, _ = spans.aggregate(tracer.spans)
     assert calls["testbed.objective"] > 0
     assert calls["testbed.analytic_grad"] > 0
+    # the tracer reaches the smart step through these two methods by name
+    assert calls["smart_estimator.smart_gradient"] > 0
+    assert calls["direction_history.update"] > 0
     assert tracer.counts["optimizer.bfgs_minimize.iterations"] > 0
     assert tracer.counts["optimizer.line_search.evals"] > 0
     assert tracer.counts["finite_difference.gradient_in_basis.evals"] > 0
