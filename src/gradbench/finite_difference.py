@@ -145,15 +145,16 @@ def _householder_q(M):
     the columns before it, so Q[:, 0] = M[:, 0] / |M[:, 0]|.  Raises
     IllConditionedBasisError, naming the first such column, when a
     component's norm |R[j, j]| is at or below 1e-10 times the largest
-    column norm of M.  When a column norm overflows, M is first scaled by
-    the power of two that brings max |M| into [0.5, 1): the scaling is
-    exact and leaves Q and every comparison as they are in exact
-    arithmetic, and a matrix whose norms do not overflow is factored as it
-    stands.
+    column norm of M.  When that norm overflows, or is below 2^-500, where
+    the squares it sums lose bits to underflow and a tolerance of 0 would
+    pass any residual, M is first scaled by the power of two that brings
+    max |M| into [0.5, 1): the scaling is exact and leaves Q and every
+    comparison as they are in exact arithmetic.  Any other matrix is
+    factored as it stands.
     """
     with np.errstate(over="ignore"):
         norm = np.linalg.norm(M, axis=0).max()
-    if norm == math.inf:
+    if not 2.0 ** -500 <= norm < math.inf:
         M = M * 2.0 ** -math.frexp(np.abs(M).max())[1]
         norm = np.linalg.norm(M, axis=0).max()
     Q, R = np.linalg.qr(M)

@@ -4,38 +4,36 @@ A family is one row of _families() (name, objective, analytic gradient,
 dimension rule, repeating unit of the optimum) plus its objective and
 gradient, which apply the rule to their input's last axis.  The objectives
 are batched: each takes points along its trailing axis, input (..., n) and
-output (...), so a 1-D point is a batch of one, and is marked
-`batched = True` for ObjectiveFn.eval_rows.  Their analytic
-gradients are batched the same way, input (..., n) and output (..., n),
-and grad_mse reduces over the trailing axis.  Each point's value is
-computed with the same operations in the same order as for that point
-alone, provided the batch is C-contiguous, so a batch gives the same bits
-as one call per point.
+output (...), and is marked `batched = True` for ObjectiveFn.eval_rows.
+Their analytic gradients are batched the same way, input (..., n) and
+output (..., n), and grad_mse reduces over the trailing axis.  A row of a
+C-contiguous batch has the bits of that point evaluated alone.  The
+Rosenbrock families sum one banana term, 100 (b - a^2)^2 + (1 - a)^2, over
+pairs of coordinates (More, Garbow & Hillstrom, *ACM TOMS* 7 (1981) 17-41)
+and differ only in the pairing (_rosenbrock); rosenbrock2d is
+rosenbrock-pairwise at n = 2.
 
-rosenbrock_pairwise, rosenbrock_chained and freudenstein_roth are in-place
-kernels.  Each copies the coordinate slices its formula uses into
-term-major C-contiguous arrays, (..., k) -> (k, ...), applies the
-formula's operations one at a time into those buffers, in the formula's
-order, and adds each point's k terms in coordinate order,
+An array goes through an in-place kernel.  It copies the coordinate slices
+its formula uses into term-major C-contiguous arrays, (..., k) -> (k, ...),
+applies the formula's operations one at a time into those buffers, in the
+formula's order, and adds each point's k terms in coordinate order,
 (t[0] + t[1]) + t[2] + ..., so that a batch adds whole rows of terms at a
 time (_sum_terms).  Recursive summation is within (k - 1) u sum |t_i| of
 the exact sum (Higham, *Accuracy and Stability of Numerical Algorithms*,
 2nd ed., section 4.2), far below the truncation error of the stencils that
-use these values.  The kernels never write into their argument.  Where a
-value is NaN, the batch row and the lone point are both NaN but may differ
-in sign: numpy's add loops do not all return the same one of two NaN
-operands.
+use these values.  The kernels never write into their argument.
 
-rosenbrock_chained and freudenstein_roth evaluate a lone point (a 1-D
-argument) in Python floats instead: the same operations in the same order,
-and the terms added first to last, so the value has the bits of the array
-path.  The running sum starts at 0.0, which adds exactly: each term is a
-sum of two squares, so never -0.0, and 0.0 + t is t for every other t.  A
-lone point has a handful of terms, and each numpy ufunc call costs about a
-microsecond of dispatch, more than the arithmetic; the BFGS line search
-sends its trial steps and curvature probes as lone points.  A point whose
-value is not finite goes on to the array path, so it keeps numpy's
-RuntimeWarnings and np.errstate.
+Every family sums a finite lone point (a 1-D argument) in Python floats:
+the kernel's operations in its order, the terms added first to last, so
+the value has the bits of a batch row.  The running sum starts at 0.0,
+which adds exactly: each term is a sum of two squares, so never -0.0.
+Each numpy ufunc call costs about a microsecond of dispatch, more than a
+lone point's arithmetic, and the BFGS line search sends its trial steps
+and curvature probes as lone points.  A point whose value is not finite
+goes on to the kernel, so it keeps numpy's RuntimeWarnings and
+np.errstate; its value and its batch row's are NaN together but may
+differ in sign, as numpy's add loops do not all return the same one of
+two NaN operands.
 """
 
 import math
@@ -78,47 +76,35 @@ def _sum_terms(t):
     leading axis of a C-contiguous batch adds whole rows one after another;
     for one point, numpy would sum the k contiguous terms pairwise instead,
     so that goes through accumulate, which is sequential by definition.
-    One point here is a (1, n) batch, a lone point of rosenbrock_pairwise,
-    or a lone point of the other kernels whose value is not finite.
-    Either way a batch row has the bits of its lone point, up to a NaN's
-    sign (see the module docstring).
+    One point here is a (1, n) batch or a lone point whose value is not
+    finite; a finite lone point never gets here (see the module docstring).
     """
     if t.size == t.shape[0]:
         return np.add.accumulate(t, axis=0)[-1]
     return np.add.reduce(t, axis=0)
 
 
-def rosenbrock2d(x):
-    """Banana-valley function on R^2; minimum 0 at (1, 1)."""
-    x = np.asarray(x, dtype=float)
-    _dim_two(x.shape[-1], "rosenbrock2d")
-    x1, x2 = x[..., 0], x[..., 1]
-    return (1.0 - x1) ** 2 + 100.0 * (x2 - x1 * x1) ** 2
-
-
-rosenbrock2d.batched = True
-
-
-def rosenbrock2d_grad(x):
-    x = np.asarray(x, dtype=float)
-    _dim_two(x.shape[-1], "rosenbrock2d")
-    x1, x2 = x[..., 0], x[..., 1]
-    g = np.empty_like(x)
-    g[..., 0] = -2.0 * (1.0 - x1) - 400.0 * x1 * (x2 - x1 * x1)
-    g[..., 1] = 200.0 * (x2 - x1 * x1)
-    return g
-
-
-rosenbrock2d_grad.batched = True
-
-
-def rosenbrock_pairwise(x):
-    """Sum of independent two-variable banana terms; even dimension only."""
-    x = np.asarray(x, dtype=float)
-    _dim_even(x.shape[-1], "rosenbrock-pairwise")
-    # sum of 100 (b - a^2)^2 + (1 - a)^2
-    a, b = _term_major(x[..., 0::2]), _term_major(x[..., 1::2])
-    t = a * a
+def _rosenbrock(x, step):
+    """The sum of banana terms 100 (b - a^2)^2 + (1 - a)^2 over the pairs
+    (a, b) = (x[i], x[i + 1]), i = 0, step, 2 step, ... of x's last axis:
+    (x0, x1), (x2, x3), ... at step 2, (x0, x1), (x1, x2), ... at step 1.
+    x is a float array whose last axis the caller has checked."""
+    if x.ndim == 1:
+        v = x.tolist()
+        total = 0.0
+        for a, b in zip(v[::step], v[1::step]):
+            t = b - a * a
+            u = 1.0 - a
+            total += t * t * 100.0 + u * u
+        if math.isfinite(total):
+            return np.float64(total)
+    if step == 1:
+        # a and b overlap in one copy: b is read before a is written
+        xt = _term_major(x)
+        a, b = xt[:-1], xt[1:]
+    else:
+        a, b = _term_major(x[..., 0::2]), _term_major(x[..., 1::2])
+    t = np.square(a)
     np.subtract(b, t, out=t)
     np.square(t, out=t)
     t *= 100.0
@@ -128,17 +114,56 @@ def rosenbrock_pairwise(x):
     return _sum_terms(t)
 
 
+def _rosenbrock_grad(x, step):
+    """The gradient of _rosenbrock(x, step): each pair's two partial
+    derivatives, added up where pairs share a coordinate (step 1)."""
+    a, b = x[..., :-1:step], x[..., 1::step]
+    t = b - a * a
+    da, db = -400.0 * a * t - 2.0 * (1.0 - a), 200.0 * t
+    if step == 1:
+        g = np.zeros_like(x)
+        g[..., :-1] += da
+        g[..., 1:] += db
+    else:
+        g = np.empty_like(x)
+        g[..., 0::2] = da
+        g[..., 1::2] = db
+    return g
+
+
+def rosenbrock2d(x):
+    """Banana-valley function on R^2, rosenbrock-pairwise at n = 2; minimum 0 at (1, 1)."""
+    x = np.asarray(x, float)
+    _dim_two(x.shape[-1], "rosenbrock2d")
+    return _rosenbrock(x, 2)
+
+
+rosenbrock2d.batched = True
+
+
+def rosenbrock2d_grad(x):
+    x = np.asarray(x, float)
+    _dim_two(x.shape[-1], "rosenbrock2d")
+    return _rosenbrock_grad(x, 2)
+
+
+rosenbrock2d_grad.batched = True
+
+
+def rosenbrock_pairwise(x):
+    """Sum of independent two-variable banana terms; even dimension only."""
+    x = np.asarray(x, float)
+    _dim_even(x.shape[-1], "rosenbrock-pairwise")
+    return _rosenbrock(x, 2)
+
+
 rosenbrock_pairwise.batched = True
 
 
 def rosenbrock_pairwise_grad(x):
-    x = np.asarray(x, dtype=float)
+    x = np.asarray(x, float)
     _dim_even(x.shape[-1], "rosenbrock-pairwise")
-    a, b = x[..., 0::2], x[..., 1::2]
-    g = np.empty_like(x)
-    g[..., 0::2] = -400.0 * a * (b - a * a) - 2.0 * (1.0 - a)
-    g[..., 1::2] = 200.0 * (b - a * a)
-    return g
+    return _rosenbrock_grad(x, 2)
 
 
 rosenbrock_pairwise_grad.batched = True
@@ -148,41 +173,16 @@ def rosenbrock_chained(x):
     """Banana chain coupling consecutive coordinates; any dimension >= 2."""
     x = np.asarray(x, float)
     _dim_min_two(x.shape[-1], "rosenbrock-chained")
-    # sum over i < n - 1 of 100 (x[i+1] - x[i]^2)^2 + (1 - x[i])^2
-    if x.ndim == 1:
-        v = x.tolist()
-        total = 0.0
-        for a, b in zip(v, v[1:]):
-            t = b - a * a
-            u = 1.0 - a
-            total += t * t * 100.0 + u * u
-        if math.isfinite(total):
-            return np.float64(total)
-    # head and tail overlap in one copy: tail is read before head is written
-    xt = _term_major(x)
-    head, tail = xt[:-1], xt[1:]
-    t = np.square(head)
-    np.subtract(tail, t, out=t)
-    np.square(t, out=t)
-    t *= 100.0
-    np.subtract(1.0, head, out=head)
-    np.square(head, out=head)
-    t += head
-    return _sum_terms(t)
+    return _rosenbrock(x, 1)
 
 
 rosenbrock_chained.batched = True
 
 
 def rosenbrock_chained_grad(x):
-    x = np.asarray(x, dtype=float)
+    x = np.asarray(x, float)
     _dim_min_two(x.shape[-1], "rosenbrock-chained")
-    head = x[..., :-1]
-    g = np.zeros_like(x)
-    t = x[..., 1:] - head ** 2
-    g[..., :-1] += -400.0 * head * t - 2.0 * (1.0 - head)
-    g[..., 1:] += 200.0 * t
-    return g
+    return _rosenbrock_grad(x, 1)
 
 
 rosenbrock_chained_grad.batched = True

@@ -12,9 +12,11 @@ finite-difference stencils evaluated one point per call, in loops.  All are
 deliberately separate from the library's own objectives, stencils and
 orthonormalization so the two never share a code path.
 
-reference_history_step is the exception: it is the direction history's
-rank-one update as first written, whole-array numpy with no fast paths,
-kept so that the library's leaner update can be held to its bytes.
+reference_history_step and reference_householder_q are the exceptions:
+the direction history's rank-one update as first written, whole-array
+numpy with no fast paths, and the Householder Q as it was before it
+rescaled tiny matrices, kept so that the library's versions can be held to
+their bytes where they promise no change.
 """
 
 import functools
@@ -218,3 +220,21 @@ def reference_history_step(Q, delta):
         delta = delta / np.abs(delta).max()
         norm = math.sqrt(delta @ delta)
     return _reference_push_leading(Q, delta / norm)
+
+
+def reference_householder_q(M):
+    """Q of the Householder QR of the square finite matrix M, diag(R) >= 0,
+    or the index of the first column whose residual |R[j, j]| is at or
+    below 1e-10 times the largest column norm.  M is rescaled by a power of
+    two only when that norm overflows."""
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(M, axis=0).max()
+    if norm == math.inf:
+        M = M * 2.0 ** -math.frexp(np.abs(M).max())[1]
+        norm = np.linalg.norm(M, axis=0).max()
+    Q, R = np.linalg.qr(M)
+    diag = np.diag(R)
+    dependent = np.flatnonzero(np.abs(diag) <= 1e-10 * norm)
+    if dependent.size:
+        return int(dependent[0])
+    return Q * np.where(diag < 0.0, -1.0, 1.0)

@@ -103,6 +103,16 @@ class TestRunComparison:
         assert len(rows) > 10
         assert repr(rows) == repr(expected)
 
+    def test_rosenbrock_families_agree_at_dimension_two(self):
+        # rosenbrock2d is rosenbrock-pairwise at n = 2, and both are
+        # rosenbrock-chained there: every record but its name must match
+        runs = [
+            [dataclasses.replace(r, function="") for r in
+             bench.run_comparison(name, 2, reps=10, seed=0)]
+            for name in ("rosenbrock2d", "rosenbrock-pairwise", "rosenbrock-chained")
+        ]
+        assert runs[0] == runs[1] == runs[2]
+
     def test_invalid_arguments_rejected(self):
         with pytest.raises(ValueError):
             bench.run_comparison("rosenbrock-pairwise", 5, reps=1, seed=0)

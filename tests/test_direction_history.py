@@ -128,6 +128,12 @@ class TestMgsOrthonormalize:
         with pytest.raises(IllConditionedBasisError, match="column 1 "):
             mgs_orthonormalize(np.diag([2e154, 1.0]))
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-170])
+    def test_dependent_matrix_with_tiny_entries_rejected(self, scale):
+        M = scale * np.array([[1.0, 1.0], [1.0, 1.0 + 1e-13]])
+        with pytest.raises(IllConditionedBasisError, match="column 1 "):
+            mgs_orthonormalize(M)
+
     def test_result_that_is_not_orthonormal_raises(self, monkeypatch):
         # a full-rank Q scaled by 1 + 1e-9 is a valid general BasisMatrix;
         # the orthonormal result promised here must refuse it

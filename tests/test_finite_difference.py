@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gradbench.finite_difference import (
     _BLOCK_BYTES,
@@ -11,6 +13,7 @@ from gradbench.finite_difference import (
     FdScheme,
     IllConditionedBasisError,
     ObjectiveFn,
+    _householder_q,
     _lower_pairs,
     _orthonormality_defect,
     directional_derivative,
@@ -28,6 +31,7 @@ from gradbench.testbed import (
 from oracle import (
     reference_gradient_in_basis,
     reference_hessian_in_basis,
+    reference_householder_q,
     reference_stencil_value,
 )
 
@@ -252,6 +256,14 @@ class TestBasisMatrix:
             with pytest.raises(IllConditionedBasisError, match="column 1 "):
                 BasisMatrix(np.diag([big, 1.0]))
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-170])
+    def test_dependent_matrix_with_tiny_entries_rejected(self, scale):
+        # at 1e-170 the squared column norms underflow to 0, and so would a
+        # tolerance taken from them
+        G = scale * np.array([[1.0, 1.0], [1.0, 1.0 + 1e-13]])
+        with pytest.raises(IllConditionedBasisError, match="column 1 "):
+            BasisMatrix(G)
+
     @pytest.mark.parametrize("columns,match", [
         (np.ones((2, 3)), "square"),
         (np.zeros((0, 0)), "at least 1x1"),
@@ -285,6 +297,42 @@ class TestBasisMatrix:
         with pytest.raises(ValueError):
             basis.matrix[1, 1] = 0.0
         np.testing.assert_array_equal(BasisMatrix.identity(6).matrix, np.eye(6))
+
+
+@st.composite
+def square_matrices(draw):
+    """A finite square matrix whose largest column norm is at least 2^-500:
+    generic, with a column nearly dependent on the ones before it, or with
+    columns of very different lengths, at scales from 1e-150 to 1e300."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = int(rng.integers(1, 9))
+    M = rng.standard_normal((n, n))
+    kind = draw(st.sampled_from(["generic", "dependent", "column scales"]))
+    if kind == "dependent" and n > 1:
+        j = int(rng.integers(1, n))
+        M[:, j] = M[:, :j] @ rng.standard_normal(j)
+        M[:, j] += 10.0 ** rng.uniform(-16.0, -8.0) * rng.standard_normal(n)
+    elif kind == "column scales":
+        M *= 10.0 ** rng.uniform(-12.0, 12.0, n)
+    with np.errstate(over="ignore"):
+        M *= 10.0 ** draw(st.floats(-150.0, 300.0))
+        assume(np.isfinite(M).all())
+        assume(np.linalg.norm(M, axis=0).max() >= 2.0 ** -500)
+    return M
+
+
+class TestHouseholderQ:
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(square_matrices())
+    def test_unchanged_where_column_norms_do_not_underflow(self, M):
+        # only a matrix whose largest column norm is below 2^-500 is scaled
+        # anew; any other gets the Q and the decision it got before
+        expected = reference_householder_q(M)
+        if isinstance(expected, int):
+            with pytest.raises(IllConditionedBasisError, match=f"column {expected} "):
+                _householder_q(M)
+        else:
+            assert _householder_q(M).tobytes() == expected.tobytes()
 
 
 class TestDirectionalDerivative:

@@ -250,14 +250,14 @@ class TestCoordinateOrderSum:
         assert testbed.rosenbrock_pairwise(np.stack([x, x, x])).tolist() == [1.0] * 3
 
 
-# the families whose objective sums a lone point in Python floats
-LONE_POINT_FAMILIES = ("rosenbrock-chained", "freudenstein-roth")
+# every family's objective sums a lone point in Python floats
+LONE_POINT_FAMILIES = FUNCTION_NAMES
 
 
 @st.composite
 def lone_points(draw):
-    """A family with a lone-point path and one point for it, at coordinate
-    scales from 1e-3 to 1e160, so that many points overflow."""
+    """A family and one point for it, at coordinate scales from 1e-3 to
+    1e160, so that many points overflow."""
     name = draw(st.sampled_from(LONE_POINT_FAMILIES))
     n = draw(st.sampled_from(accepted_dims(name, 40)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -289,14 +289,23 @@ class TestLonePoints:
         else:
             assert value.tobytes() == batch_value.tobytes()
 
+    def test_rosenbrock2d_lone_point_has_the_batch_bits(self):
+        # ** on a numpy scalar goes through libm pow, which squares b - a^2
+        # here one bit off the product: the value would end ...045, not ...038
+        x = np.array([-3.574910478381077, -4.501639824452281])
+        for name in ("rosenbrock2d", "rosenbrock-pairwise", "rosenbrock-chained"):
+            fn = get_test_function(name, 2).fn
+            assert fn(x) == 29886.385215859038
+            assert fn(x[None]).tolist() == [29886.385215859038]
+
     @pytest.mark.parametrize("name", LONE_POINT_FAMILIES)
     def test_finite_lone_point_never_takes_the_array_path(self, name, monkeypatch):
         def array_path(s):
             raise AssertionError("the array path was taken")
 
         monkeypatch.setattr(testbed, "_term_major", array_path)
-        tf = get_test_function(name, 10)
-        x = tf.optimum + np.random.default_rng(3).standard_normal(10)
+        tf = get_test_function(name, largest_dim(name, 10))
+        x = tf.optimum + np.random.default_rng(3).standard_normal(tf.dim)
         assert np.isfinite(tf.fn(x))
         with pytest.raises(AssertionError, match="array path"):
             tf.fn(x[None])
