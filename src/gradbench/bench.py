@@ -16,6 +16,8 @@ from .finite_difference import (
     BasisMatrix,
     FdScheme,
     ObjectiveFn,
+    _check_point,
+    _positive_int,
     directional_derivative,
     gradient_in_basis,
     vanilla_gradient,
@@ -165,8 +167,7 @@ def run_comparison(function, dim, reps=100, seed=0, scheme=None):
     name or a TestFunction.
     """
     test_fn = _resolve_function(function, dim)
-    if reps < 1:
-        raise ValueError("reps must be at least 1")
+    reps = _positive_int(reps, "reps")
     if scheme is None:
         scheme = FdScheme()
     records = []
@@ -237,12 +238,8 @@ def run_rotation_scan(x=DEFAULT_ROTATION_POINT, angle_step=DEFAULT_ANGLE_STEP,
         raise ValueError("angle_step must be positive and finite")
     if scheme is None:
         scheme = FdScheme()
-    x = np.asarray(x, dtype=float)
-    if x.shape != (2,):
-        raise ValueError("the rotation scan point must be two-dimensional")
-    if not np.isfinite(x).all():
-        raise ValueError("the rotation scan point must be finite")
     objective = ObjectiveFn(rosenbrock2d, 2)
+    x = _check_point(objective, x)
     exact = rosenbrock2d_grad(x)
     records = []
     k = 0

@@ -93,14 +93,14 @@ def _out_dir_or_die(parser, path):
 
 def _cmd_bench(parser, args):
     _out_dir_or_die(parser, args.out)
-    _function_or_die(parser, args.function, args.dim)
+    test_fn = _function_or_die(parser, args.function, args.dim)
     scheme = _scheme_or_die(parser, args.scheme, args.step)
     if args.reps < 1:
         parser.error("--reps must be at least 1")
     if args.seed < 0:
         parser.error("--seed must be non-negative")
     records = bench.run_comparison(
-        args.function, args.dim, reps=args.reps, seed=args.seed, scheme=scheme
+        test_fn, args.dim, reps=args.reps, seed=args.seed, scheme=scheme
     )
     bench.write_bench_csv(records, args.out)
     print(f"wrote {len(records)} records to {args.out}")
@@ -122,10 +122,10 @@ def _cmd_rotate(parser, args):
 
 
 def _cmd_hessian(parser, args):
-    _function_or_die(parser, args.function, args.dim)
+    test_fn = _function_or_die(parser, args.function, args.dim)
     if args.seed < 0:
         parser.error("--seed must be non-negative")
-    demo = bench.run_hessian_demo(args.function, args.dim, seed=args.seed)
+    demo = bench.run_hessian_demo(test_fn, args.dim, seed=args.seed)
     print(f"function: {demo.function}  dim: {demo.dim}  seed: {args.seed}")
     print(f"converged: {demo.converged}")
     print(f"stop reason: {demo.reason}")

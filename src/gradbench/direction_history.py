@@ -14,7 +14,9 @@ import math
 
 import numpy as np
 
-from .finite_difference import _DEPENDENCE_RTOL, BasisMatrix, _householder_q, _positive_dim
+from .finite_difference import (
+    _DEPENDENCE_RTOL, BasisMatrix, _householder_q, _positive_int, _square_matrix,
+)
 
 _ZERO_STEP_TOL = 1e-14
 
@@ -28,18 +30,13 @@ def mgs_orthonormalize(matrix):
     diag(R) >= 0, not Gram-Schmidt.  Dependent input raises
     IllConditionedBasisError by the rule a general BasisMatrix applies: a
     column whose residual is at or below 1e-10 times the largest input
-    column norm.  A result that does not measure orthonormal within 1e-12
-    raises ValueError.  The name is historical; the benchmark harness in
-    perfbench/ looks the function up by it, so it changes together with
-    that harness (ROADMAP open items 7 and 10).
+    column norm.  Input that is not square, at least 1x1 and finite raises
+    ValueError with the message BasisMatrix gives; so does a result that
+    does not measure orthonormal within 1e-12.  The name is historical; the
+    benchmark harness in perfbench/ looks the function up by it, so it
+    changes together with that harness (ROADMAP open items 7 and 10).
     """
-    M = np.array(matrix, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError("expected a square matrix")
-    if M.shape[0] < 1:
-        raise ValueError("matrix must be at least 1x1")
-    if not np.isfinite(M).all():
-        raise ValueError("matrix entries must be finite")
+    M, _ = _square_matrix(matrix)
     return BasisMatrix._adopt(_householder_q(M))
 
 
@@ -104,7 +101,7 @@ class DirectionHistory:
     """
 
     def __init__(self, dim):
-        self.dim = _positive_dim(dim)
+        self.dim = _positive_int(dim, "dim")
         self.basis = BasisMatrix.identity(self.dim)
         self.updates_seen = 0
 

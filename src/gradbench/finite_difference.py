@@ -22,16 +22,17 @@ _BLOCK_BYTES = 64 * 1024  # see ObjectiveFn.eval_rows
 SCHEME_NAMES = ("central1", "central4", "forward1")
 
 
-def _positive_dim(dim):
-    """dim as an int; ValueError unless it is a Python or numpy integer >= 1, not a bool."""
-    if isinstance(dim, bool):
-        raise ValueError(f"dim must be an integer, got {dim!r}")
+def _positive_int(value, name):
+    """value as an int; ValueError, naming it `name`, unless it is a Python or
+    numpy integer >= 1, not a bool."""
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
     try:
-        n = operator.index(dim)
+        n = operator.index(value)
     except TypeError:
-        raise ValueError(f"dim must be an integer, got {dim!r}") from None
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
     if n < 1:
-        raise ValueError(f"dim must be a positive integer, got {dim!r}")
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
     return n
 
 
@@ -74,7 +75,7 @@ class ObjectiveFn:
     """
 
     def __init__(self, fn, dim):
-        self.dim = _positive_dim(dim)
+        self.dim = _positive_int(dim, "dim")
         self._fn = fn
         self._batched = bool(getattr(fn, "batched", False))
         self.eval_count = 0
@@ -122,20 +123,26 @@ class ObjectiveFn:
         return values
 
 
-@functools.lru_cache(maxsize=16)
-def _eye(n):
-    """The n x n identity as a read-only array.  Built once per n and shared;
-    the 16 most recently used dimensions are kept."""
-    eye = np.eye(n)
-    eye.flags.writeable = False
-    return eye
-
-
 def _orthonormality_defect(G):
     """Infinity norm of G^T G - I (max absolute row sum)."""
     E = G.T @ G
-    np.subtract(E, _eye(E.shape[0]), out=E)
+    E.reshape(-1)[::E.shape[0] + 1] -= 1.0  # the diagonal, in place
     return float(np.abs(E, out=E).sum(axis=1).max())
+
+
+def _square_matrix(matrix):
+    """matrix as a fresh float array and its largest absolute entry, which is
+    NaN or inf exactly when an entry is; ValueError unless the matrix is
+    square, at least 1x1 and finite."""
+    M = np.array(matrix, dtype=float)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ValueError("expected a square matrix")
+    if M.shape[0] < 1:
+        raise ValueError("matrix must be at least 1x1")
+    largest = float(np.abs(M).max())
+    if not largest < math.inf:
+        raise ValueError("matrix entries must be finite")
+    return M, largest
 
 
 def _householder_q(M):
@@ -184,14 +191,7 @@ class BasisMatrix:
     """
 
     def __init__(self, columns):
-        G = np.array(columns, dtype=float)
-        if G.ndim != 2 or G.shape[0] != G.shape[1]:
-            raise ValueError("basis must be a square matrix")
-        if G.shape[0] < 1:
-            raise ValueError("basis must be at least 1x1")
-        largest = float(np.abs(G).max())
-        if not largest < math.inf:
-            raise ValueError("basis entries must be finite")
+        G, largest = _square_matrix(columns)
         self.orthonormal = largest <= 2.0 and _orthonormality_defect(G) <= _ORTHONORMAL_TOL
         if not self.orthonormal:
             _householder_q(G)  # raises on a dependent column
@@ -244,18 +244,23 @@ class Estimate:
     evals_used: int
 
 
-def _check_point(f, x):
+def _check_point(f, x, basis=None):
+    """x as a float array; ValueError unless it is a finite point of f's
+    dimension and `basis`, when given, has that dimension too."""
+    x = np.asarray(x, dtype=float)
     if x.shape != (f.dim,):
         raise ValueError(f"expected a point of length {f.dim}, got shape {x.shape}")
     if not np.isfinite(x).all():
         raise ValueError("x must be finite")
+    if basis is not None and basis.dim != f.dim:
+        raise ValueError("basis dimension does not match the objective")
+    return x
 
 
 def directional_derivative(f, x, u, scheme=FdScheme()):
     """Finite-difference derivative of f at x along the unit vector u."""
-    x = np.asarray(x, dtype=float)
+    x = _check_point(f, x)
     u = np.asarray(u, dtype=float)
-    _check_point(f, x)
     if u.shape != x.shape:
         raise ValueError("direction must match the dimension of x")
     if not abs(np.linalg.norm(u) - 1.0) <= _UNIT_NORM_TOL:  # NaN fails too
@@ -304,10 +309,7 @@ def gradient_in_basis(f, x, basis, scheme=FdScheme()):
     the plain product G @ inner (no linear solve); otherwise the dense
     system G^T y = inner is solved.
     """
-    x = np.asarray(x, dtype=float)
-    _check_point(f, x)
-    if basis.dim != f.dim:
-        raise ValueError("basis dimension does not match the objective")
+    x = _check_point(f, x, basis)
     return _gradient_estimate(f, x, basis, scheme)
 
 
@@ -381,10 +383,7 @@ def hessian_in_basis(f, x, basis, scheme=FdScheme()):
     """
     if not basis.orthonormal:
         raise ValueError("hessian_in_basis requires an orthonormal basis")
-    x = np.asarray(x, dtype=float)
-    _check_point(f, x)
-    if basis.dim != f.dim:
-        raise ValueError("basis dimension does not match the objective")
+    x = _check_point(f, x, basis)
     n = basis.dim
     h = scheme.step
     cols = basis.matrix

@@ -18,11 +18,10 @@ steepest descent, starts from the identity inverse Hessian.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
-
-from .finite_difference import ObjectiveFn
 
 WOLFE_C1 = 1e-4
 WOLFE_C2 = 0.9
@@ -42,6 +41,10 @@ class BfgsOptions:
     grad_tol: float = 1e-6
 
     def __post_init__(self):
+        # an integer as finite_difference._positive_int takes a dimension:
+        # the loop would run a float's next integer up, and True as 1
+        if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, numbers.Integral):
+            raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
         if not self.grad_tol >= 0.0:
@@ -69,9 +72,9 @@ def line_search(f, x, d, f0, g0):
     Bracketing with doubling trial steps starting at 1, then a zoom phase
     with safeguarded quadratic interpolation.  The curvature condition is
     checked with central differences of a -> f(x + a d), whose two points
-    are evaluated one after the other, each counted once; g0 is the
-    gradient at x and gives the slope at a = 0.  f may be an ObjectiveFn or
-    a plain callable, which is wrapped in one.
+    are evaluated one after the other; g0 is the gradient at x and gives
+    the slope at a = 0.  f is called as given, once per point: pass an
+    ObjectiveFn to have the points checked and counted.
 
     A trial step whose value is not finite (NaN or +-inf) fails the
     sufficient-decrease condition, so the search shrinks the step away
@@ -85,8 +88,6 @@ def line_search(f, x, d, f0, g0):
     dphi0 = float(np.dot(g0, d))
     if not dphi0 < 0.0:  # NaN is not a descent slope either
         raise ValueError("d is not a descent direction")
-    if not isinstance(f, ObjectiveFn):
-        f = ObjectiveFn(f, d.size)
 
     def phi(a):
         return f(x + a * d)
@@ -203,6 +204,8 @@ def bfgs_minimize(f, grad, x0, opts=None):
     if opts is None:
         opts = BfgsOptions()
     x = np.array(x0, dtype=float)
+    if x.ndim != 1 or x.size < 1:
+        raise ValueError(f"x0 must be a non-empty vector, got shape {x.shape}")
     if not np.isfinite(x).all():
         raise ValueError("x0 must be finite")
     n = x.size

@@ -8,8 +8,6 @@ displacement is seen the basis is the identity, so the very first estimate
 coincides exactly with the canonical-basis one.
 """
 
-import numpy as np
-
 from .direction_history import DirectionHistory
 from .finite_difference import FdScheme, _check_point, _gradient_estimate, hessian_in_basis
 
@@ -37,8 +35,7 @@ class SmartEstimator:
         zero-step rule ignores, so the basis is left alone.  x is checked
         once, before it touches the history.
         """
-        x = np.asarray(x, dtype=float)
-        _check_point(self.objective, x)
+        x = _check_point(self.objective, x)
         if self.last_x is not None:
             self.history.update(x - self.last_x)
         estimate = _gradient_estimate(self.objective, x, self.history.basis, self.scheme)

@@ -42,7 +42,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .finite_difference import _positive_dim
+from .finite_difference import _positive_int
 
 
 def _dim_two(n, name):
@@ -287,7 +287,7 @@ FUNCTION_NAMES = tuple(_families())
 def get_test_function(name, dim):
     """Build the named test function at the requested dimension; ValueError
     for an unknown name or a dimension the family's rule refuses."""
-    dim = _positive_dim(dim)
+    dim = _positive_int(dim, "dim")
     if name not in FUNCTION_NAMES:
         raise ValueError(f"unknown test function {name!r}")
     fn, grad, rule, unit = _families()[name]

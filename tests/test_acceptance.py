@@ -2,7 +2,8 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 pass/fail lines.  The comparison experiments (criteria 5, 6, 8) run the
-full 100-repetition configuration and take a few minutes.
+full 100-repetition configuration; the fixture that runs the six table
+cells once for criteria 5 and 6 takes 11-16 s on a 2-vCPU host.
 """
 
 from pathlib import Path

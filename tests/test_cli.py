@@ -6,8 +6,9 @@ from pathlib import Path
 import pytest
 
 import gradbench
-from gradbench import bench
+from gradbench import bench, cli
 from gradbench.cli import main
+from gradbench.testbed import get_test_function
 
 
 def run_cli(argv):
@@ -168,6 +169,25 @@ class TestHessianCommand:
     ])
     def test_invalid_arguments_exit_2(self, argv):
         assert run_cli(argv) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["bench", "--function", "rosenbrock-chained", "--dim", "3", "--reps", "1"],
+    ["hessian", "--function", "rosenbrock2d", "--dim", "2"],
+], ids=["bench", "hessian"])
+def test_test_function_is_built_once(argv, tmp_path, monkeypatch):
+    # the command runs on the TestFunction it validated the name with
+    calls = []
+
+    def counting(name, dim):
+        calls.append(name)
+        return get_test_function(name, dim)
+
+    monkeypatch.setattr(cli, "get_test_function", counting)
+    monkeypatch.setattr(bench, "get_test_function", counting)
+    out = ["--out", str(tmp_path / "r.csv")] if argv[0] == "bench" else []
+    assert run_cli(argv + out) == 0
+    assert calls == [argv[2]]
 
 
 class TestSummarizeCommand:

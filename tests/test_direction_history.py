@@ -107,14 +107,20 @@ class TestMgsOrthonormalize:
         out = mgs_orthonormalize(M)
         assert orthonormality_defect(out.matrix) <= 1e-12
 
-    @pytest.mark.parametrize("matrix,match", [
-        (np.ones((2, 3)), "square"),
-        (np.zeros((0, 0)), "at least 1x1"),
-        (np.array([[1.0, 0.0], [np.nan, 1.0]]), "finite"),
-    ], ids=["non-square", "empty", "non-finite"])
-    def test_malformed_matrix_rejected(self, matrix, match):
-        with pytest.raises(ValueError, match=match):
-            mgs_orthonormalize(matrix)
+    @pytest.mark.parametrize("build", [BasisMatrix, mgs_orthonormalize],
+                             ids=["BasisMatrix", "mgs_orthonormalize"])
+    @pytest.mark.parametrize("matrix,message", [
+        (np.ones((2, 3)), "expected a square matrix"),
+        (np.ones(3), "expected a square matrix"),
+        (np.zeros((0, 0)), "matrix must be at least 1x1"),
+        (np.array([[1.0, 0.0], [0.0, np.inf]]), "matrix entries must be finite"),
+        (np.array([[1.0, 0.0], [np.nan, 1.0]]), "matrix entries must be finite"),
+    ], ids=["non-square", "vector", "empty", "inf", "nan"])
+    def test_malformed_matrix_rejected(self, build, matrix, message):
+        # one rule for both: the same message, word for word
+        with pytest.raises(ValueError) as info:
+            build(matrix)
+        assert str(info.value) == message
 
     @pytest.mark.parametrize("M,Q", [
         (np.diag([1e200, 1e200]), np.eye(2)),

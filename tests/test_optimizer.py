@@ -36,10 +36,16 @@ class TestBfgsOptions:
         assert opts.max_iters == 200
         assert opts.grad_tol == 1e-6
 
+    def test_numpy_integer_max_iters_accepted(self):
+        assert BfgsOptions(max_iters=np.int64(3)).max_iters == 3
+
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"max_iters": 0},
+            {"max_iters": 2.5},
+            {"max_iters": True},
+            {"max_iters": "3"},
             {"grad_tol": -1e-6},
             {"grad_tol": float("nan")},
         ],
@@ -303,6 +309,23 @@ class TestBfgsMinimize:
         f = ObjectiveFn(rosenbrock2d, 2)
         with pytest.raises(ValueError):
             bfgs_minimize(f, rosenbrock2d_grad, np.array([np.nan, 0.0]), BfgsOptions())
+
+    @pytest.mark.parametrize("x0", [np.ones((2, 2)), np.float64(1.0), np.zeros(0)],
+                             ids=["matrix", "scalar", "empty"])
+    def test_start_that_is_not_a_vector_rejected_before_any_call(self, x0):
+        calls = []
+
+        def f(x):
+            calls.append("f")
+            return float(np.sum(x * x))
+
+        def grad(x):
+            calls.append("grad")
+            return 2.0 * x
+
+        with pytest.raises(ValueError, match="x0 must be a non-empty vector"):
+            bfgs_minimize(f, grad, x0)
+        assert calls == []
 
 
 class TestNonFiniteValues:
