@@ -36,6 +36,12 @@ def _positive_int(value, name):
     return n
 
 
+def _wrong_point(dim, shape):
+    """The error for a point whose shape is not (dim,), from ObjectiveFn
+    and _check_point alike."""
+    return ValueError(f"expected a point of shape ({dim},), got shape {shape}")
+
+
 class IllConditionedBasisError(ValueError):
     """Raised when a basis matrix is singular or numerically close to it."""
 
@@ -86,7 +92,7 @@ class ObjectiveFn:
         """f at the point x, a vector of shape (dim,); counts one evaluation."""
         x = np.asarray(x, float)  # a dtype= keyword costs 0.1 us more per call
         if x.shape != self._shape:
-            raise ValueError(f"expected a point of shape ({self.dim},), got shape {x.shape}")
+            raise _wrong_point(self.dim, x.shape)
         self.eval_count += 1
         return float(self._fn(x))
 
@@ -249,7 +255,7 @@ def _check_point(f, x, basis=None):
     dimension and `basis`, when given, has that dimension too."""
     x = np.asarray(x, dtype=float)
     if x.shape != (f.dim,):
-        raise ValueError(f"expected a point of length {f.dim}, got shape {x.shape}")
+        raise _wrong_point(f.dim, x.shape)
     if not np.isfinite(x).all():
         raise ValueError("x must be finite")
     if basis is not None and basis.dim != f.dim:

@@ -80,10 +80,13 @@ def line_search(f, x, d, f0, g0):
     sufficient-decrease condition, so the search shrinks the step away
     from it.
 
-    Returns (alpha, f(x + alpha d)).  Raises ValueError when d is not a
-    descent direction and LineSearchError when no acceptable step exists
-    within the iteration budget.
+    Returns (alpha, f(x + alpha d)).  Raises ValueError, before any
+    evaluation, when f0 is not finite or d is not a descent direction, and
+    LineSearchError when no acceptable step exists within the iteration
+    budget.
     """
+    if not math.isfinite(f0):
+        raise ValueError(f"f0 must be finite, got {f0}")
     d = np.asarray(d, dtype=float)
     dphi0 = float(np.dot(g0, d))
     if not dphi0 < 0.0:  # NaN is not a descent slope either

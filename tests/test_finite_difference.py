@@ -91,11 +91,17 @@ class TestObjectiveFn:
         f(np.ones(3))
         assert f.eval_count == 2
 
+    # a lone evaluation and a stencil's point check give one message
+    @pytest.mark.parametrize("entry", [
+        lambda f, x: f(x),
+        lambda f, x: gradient_in_basis(f, x, BasisMatrix.identity(5)),
+    ], ids=["ObjectiveFn", "gradient_in_basis"])
     @pytest.mark.parametrize("shape", [(7,), (3,), (1, 5)])
-    def test_a_point_of_the_wrong_shape_is_refused_uncounted(self, shape):
+    def test_a_point_of_the_wrong_shape_is_refused_uncounted(self, entry, shape):
         f = ObjectiveFn(rosenbrock_chained, 5)
-        with pytest.raises(ValueError, match=r"\(5,\)"):
-            f(np.zeros(shape))
+        with pytest.raises(ValueError, match=r"\(5,\)") as refused:
+            entry(f, np.zeros(shape))
+        assert str(refused.value) == f"expected a point of shape (5,), got shape {shape}"
         assert f.eval_count == 0
 
     def test_rejects_nonpositive_dim(self):

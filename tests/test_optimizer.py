@@ -99,6 +99,17 @@ class TestLineSearch:
             line_search(f, x, np.array(d), rosenbrock2d(x), np.array(g0))
         assert f.eval_count == 0
 
+    @pytest.mark.parametrize("f0", [np.nan, -np.inf, np.inf])
+    def test_non_finite_start_value_rejected_before_any_evaluation(self, f0):
+        # no trial value decreases from NaN or -inf: the search used to
+        # spend 48 evaluations here and end on "zoom interval collapsed"
+        f = ObjectiveFn(rosenbrock_chained, 3)
+        x = np.array([0.5, 0.2, -0.1])
+        g = get_test_function("rosenbrock-chained", 3).grad(x)
+        with pytest.raises(ValueError, match="f0 must be finite"):
+            line_search(f, x, -g, f0, g)
+        assert f.eval_count == 0
+
     def test_unbounded_descent_fails(self):
         f = lambda x: float(x[0])
         with pytest.raises(LineSearchError):

@@ -27,7 +27,7 @@ def accepted_dims(name, high):
     dims = []
     for n in range(1, high + 1):
         try:
-            rule(n, name)
+            rule((n,), name)
         except ValueError:
             continue
         dims.append(n)
@@ -250,7 +250,7 @@ class TestCoordinateOrderSum:
         assert testbed.rosenbrock_pairwise(np.stack([x, x, x])).tolist() == [1.0] * 3
 
 
-# every family's objective sums a lone point in Python floats
+# every family takes a lone point's value and gradient in Python floats
 LONE_POINT_FAMILIES = FUNCTION_NAMES
 
 
@@ -273,7 +273,8 @@ def value_and_warned(f, x):
 
 
 class TestLonePoints:
-    """A lone point is summed in Python floats, with the array path's bits."""
+    """A lone point's value and gradient are taken in Python floats, with
+    the array path's bits."""
 
     @PROPERTY_SETTINGS
     @given(lone_points())
@@ -288,6 +289,19 @@ class TestLonePoints:
             assert np.isnan(batch_value)
         else:
             assert value.tobytes() == batch_value.tobytes()
+
+    @PROPERTY_SETTINGS
+    @given(lone_points())
+    def test_lone_gradient_equals_a_batch_of_one(self, case):
+        # a gradient that is not finite takes the array path, as its batch
+        # does, so here even NaN entries keep their bits
+        name, x = case
+        grad = get_test_function(name, x.size).grad
+        g, warned = value_and_warned(grad, x)
+        batch_g, batch_warned = value_and_warned(grad, x[None])
+        assert type(g) is np.ndarray and g.dtype == np.float64 and g.shape == x.shape
+        assert warned == batch_warned
+        assert g.tobytes() == batch_g[0].tobytes()
 
     def test_rosenbrock2d_lone_point_has_the_batch_bits(self):
         # ** on a numpy scalar goes through libm pow, which squares b - a^2
@@ -309,6 +323,33 @@ class TestLonePoints:
         assert np.isfinite(tf.fn(x))
         with pytest.raises(AssertionError, match="array path"):
             tf.fn(x[None])
+
+    @pytest.mark.parametrize("name", LONE_POINT_FAMILIES)
+    def test_finite_lone_gradient_never_takes_the_array_path(self, name, monkeypatch):
+        # The batch's bits are taken first.  At the optimum and at -0.0
+        # everywhere, the chained sums' first and last entries add a zero
+        # to a zero, so their signs show where each sum starts; the points
+        # around the optimum show the rounding of every operation.
+        tf = get_test_function(name, largest_dim(name, 10))
+        rng = np.random.default_rng(5)
+        X = np.array([tf.optimum, np.full(tf.dim, -0.0)] + [
+            tf.optimum + scale * rng.standard_normal(tf.dim)
+            for scale in (1e-3, 1e-1, 1.0, 30.0) for _ in range(5)
+        ])
+        batch = tf.grad(X)
+
+        def array_path(*args, **kwargs):
+            raise AssertionError("the array path was taken")
+
+        # the gradients' array path allocates its result with one of these
+        monkeypatch.setattr(np, "zeros_like", array_path)
+        monkeypatch.setattr(np, "empty_like", array_path)
+        for x, row in zip(X, batch):
+            g = tf.grad(x)
+            assert np.isfinite(g).all()
+            assert g.tobytes() == row.tobytes()
+        with pytest.raises(AssertionError, match="array path"):
+            tf.grad(X[:1])
 
 
 class TestGradMse:
@@ -360,11 +401,15 @@ class TestRegistry:
         ("freudenstein-roth", 7),
     ])
     def test_invalid_dimensions_rejected(self, name, dim):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"^{name} requires"):
             get_test_function(name, dim)
-        # the objective and gradient check their input's last axis too
+        # the objective and gradient check their input's last axis too; a
+        # 0-d input has none
         tf = get_test_function(name, largest_dim(name, 5))
         for f in (tf.fn, tf.grad):
             for x in (np.zeros(dim), np.zeros((3, dim))):
-                with pytest.raises(ValueError):
+                with pytest.raises(ValueError, match=f"^{name} requires .*, got {dim}$"):
+                    f(x)
+            for x in (3.0, np.float64(3.0), np.zeros(())):
+                with pytest.raises(ValueError, match=f"^{name} requires .*, got a 0-d input$"):
                     f(x)
