@@ -17,9 +17,10 @@ from .finite_difference import (
     FdScheme,
     ObjectiveFn,
     _check_point,
-    _positive_int,
-    directional_derivative,
-    gradient_in_basis,
+    _gradient_along_columns,
+    _integer,
+    _number,
+    _to_canonical,
     vanilla_gradient,
 )
 from .optimizer import OptimResult, bfgs_minimize
@@ -167,7 +168,8 @@ def run_comparison(function, dim, reps=100, seed=0, scheme=None):
     name or a TestFunction.
     """
     test_fn = _resolve_function(function, dim)
-    reps = _positive_int(reps, "reps")
+    reps = _integer(reps, "reps")
+    seed = _integer(seed, "seed", least=0)
     if scheme is None:
         scheme = FdScheme()
     records = []
@@ -232,9 +234,11 @@ def run_rotation_scan(x=DEFAULT_ROTATION_POINT, angle_step=DEFAULT_ANGLE_STEP,
     the rotation by t.  Each record carries the estimate's MSE against the
     analytic gradient and the magnitude of the finite-difference derivative
     along the first rotated direction, so either quantity can be plotted
-    against the angle.
+    against the angle.  That derivative is the estimate's own first inner
+    entry, from the same stencil points, so an angle costs one stencil: 4
+    evaluations under central1, 8 under central4 and 3 under forward1.
     """
-    if not 0.0 < angle_step < np.inf:
+    if not 0.0 < _number(angle_step, "angle_step") < np.inf:
         raise ValueError("angle_step must be positive and finite")
     if scheme is None:
         scheme = FdScheme()
@@ -245,13 +249,12 @@ def run_rotation_scan(x=DEFAULT_ROTATION_POINT, angle_step=DEFAULT_ANGLE_STEP,
     k = 0
     while k * angle_step < np.pi:
         basis = BasisMatrix.rotation_2d(k * angle_step)
-        estimate = gradient_in_basis(objective, x, basis, scheme)
-        magnitude = abs(directional_derivative(objective, x, basis.matrix[:, 0], scheme))
+        inner = _gradient_along_columns(objective, x, basis.matrix, scheme)
         records.append(
             RotateRecord(
                 angle=k * angle_step,
-                mse=grad_mse(estimate.values, exact),
-                dir_grad_magnitude=magnitude,
+                mse=grad_mse(_to_canonical(basis, inner), exact),
+                dir_grad_magnitude=abs(float(inner[0])),
             )
         )
         k += 1
@@ -262,6 +265,7 @@ def run_hessian_demo(function, dim, seed=0):
     """Drive BFGS to the mode with history-basis gradients, then estimate
     the Hessian there along the directions the run accumulated."""
     test_fn = _resolve_function(function, dim)
+    seed = _integer(seed, "seed", least=0)
     objective = ObjectiveFn(test_fn.fn, test_fn.dim)
     grad_cb = wrap(objective)
     result = bfgs_minimize(objective, grad_cb, _draw_start(seed, 0, dim))
@@ -283,15 +287,19 @@ def _g17(value):
     return format(float(value), ".17g")
 
 
-def write_bench_csv(records, path):
-    """Write comparison records with a header row and 17-digit floats."""
+def _write_csv(path, header, rows):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(BENCH_CSV_COLUMNS)
-        writer.writerows(
-            (r.function, r.dim, r.rep, r.iteration, r.method, _g17(r.mse), _g17(r.grad_norm))
-            for r in records
-        )
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_bench_csv(records, path):
+    """Write comparison records with a header row and 17-digit floats."""
+    _write_csv(path, BENCH_CSV_COLUMNS, (
+        (r.function, r.dim, r.rep, r.iteration, r.method, _g17(r.mse), _g17(r.grad_norm))
+        for r in records
+    ))
 
 
 def read_bench_csv(path):
@@ -326,8 +334,6 @@ def read_bench_csv(path):
 
 def write_rotate_csv(records, path):
     """Write rotation-scan records with a header row and 17-digit floats."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(ROTATE_CSV_COLUMNS)
-        for r in records:
-            writer.writerow([_g17(r.angle), _g17(r.mse), _g17(r.dir_grad_magnitude)])
+    _write_csv(path, ROTATE_CSV_COLUMNS, (
+        (_g17(r.angle), _g17(r.mse), _g17(r.dir_grad_magnitude)) for r in records
+    ))

@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .finite_difference import (
-    _DEPENDENCE_RTOL, BasisMatrix, _householder_q, _positive_int, _square_matrix,
+    _DEPENDENCE_RTOL, BasisMatrix, _householder_q, _integer, _square_matrix,
 )
 
 _ZERO_STEP_TOL = 1e-14
@@ -101,7 +101,7 @@ class DirectionHistory:
     """
 
     def __init__(self, dim):
-        self.dim = _positive_int(dim, "dim")
+        self.dim = _integer(dim, "dim")
         self.basis = BasisMatrix.identity(self.dim)
         self.updates_seen = 0
 

@@ -10,6 +10,7 @@ objective the rows in blocks.
 
 import functools
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -22,18 +23,26 @@ _BLOCK_BYTES = 64 * 1024  # see ObjectiveFn.eval_rows
 SCHEME_NAMES = ("central1", "central4", "forward1")
 
 
-def _positive_int(value, name):
+def _integer(value, name, least=1):
     """value as an int; ValueError, naming it `name`, unless it is a Python or
-    numpy integer >= 1, not a bool."""
+    numpy integer >= least, not a bool."""
     if isinstance(value, bool):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     try:
         n = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
-    if n < 1:
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    if n < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
     return n
+
+
+def _number(value, name):
+    """value; ValueError, naming it `name`, unless it is a Python or numpy
+    real number, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return value
 
 
 def _wrong_point(dim, shape):
@@ -61,7 +70,7 @@ class FdScheme:
     def __post_init__(self):
         if self.name not in SCHEME_NAMES:
             raise ValueError(f"unknown scheme name {self.name!r}")
-        if not 0.0 < self.step < np.inf:
+        if not 0.0 < _number(self.step, "step") < np.inf:
             raise ValueError("step must be positive and finite")
 
     @classmethod
@@ -81,7 +90,7 @@ class ObjectiveFn:
     """
 
     def __init__(self, fn, dim):
-        self.dim = _positive_int(dim, "dim")
+        self.dim = _integer(dim, "dim")
         self._fn = fn
         self._batched = bool(getattr(fn, "batched", False))
         self.eval_count = 0
@@ -322,12 +331,17 @@ def gradient_in_basis(f, x, basis, scheme=FdScheme()):
 def _gradient_estimate(f, x, basis, scheme):
     """gradient_in_basis for a caller that has checked x and basis.dim."""
     before = f.eval_count
-    inner = _gradient_along_columns(f, x, basis.matrix, scheme)
-    if basis.orthonormal:
-        values = basis.matrix @ inner
-    else:
-        values = np.linalg.solve(basis.matrix.T, inner)
+    values = _to_canonical(basis, _gradient_along_columns(f, x, basis.matrix, scheme))
     return Estimate(values=values, evals_used=f.eval_count - before)
+
+
+def _to_canonical(basis, inner):
+    """The canonical gradient whose derivatives along basis's columns are
+    inner: basis.matrix @ inner for an orthonormal basis, else the solution
+    y of basis.matrix.T @ y = inner."""
+    if basis.orthonormal:
+        return basis.matrix @ inner
+    return np.linalg.solve(basis.matrix.T, inner)
 
 
 def vanilla_gradient(f, x, scheme=FdScheme()):

@@ -18,10 +18,11 @@ steepest descent, starts from the identity inverse Hessian.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
+
+from .finite_difference import _integer, _number
 
 WOLFE_C1 = 1e-4
 WOLFE_C2 = 0.9
@@ -41,13 +42,10 @@ class BfgsOptions:
     grad_tol: float = 1e-6
 
     def __post_init__(self):
-        # an integer as finite_difference._positive_int takes a dimension:
-        # the loop would run a float's next integer up, and True as 1
-        if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, numbers.Integral):
-            raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
-        if not self.grad_tol >= 0.0:
+        # an integer, as a dimension is: a float would run the loop to its
+        # next integer up, and True as 1
+        _integer(self.max_iters, "max_iters")
+        if not _number(self.grad_tol, "grad_tol") >= 0.0:
             raise ValueError("grad_tol must be a non-negative number")
 
 

@@ -1,8 +1,11 @@
 """Analytic benchmark functions, their gradients, and the error metric.
 
 A family is one row of _families() (name, objective, analytic gradient,
-dimension rule, repeating unit of the optimum) plus its objective and
-gradient, which apply the rule to their input's last axis.  The objectives
+repeating unit of the optimum), its dimension rule in _DIM_RULES, and its
+objective and gradient, which check their input's last axis against that
+rule through _check_dim.  The rule table is a constant, read by every
+evaluation; _families() is rebuilt per call so that a function rebound on
+the module is what it hands out.  The objectives
 are batched: each takes points along its trailing axis, input (..., n) and
 output (...), and is marked `batched = True` for ObjectiveFn.eval_rows.
 Their analytic gradients are batched the same way, input (..., n) and
@@ -48,45 +51,28 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .finite_difference import _positive_int
+from .finite_difference import _integer
 
 
-# The dimension rules take the shape of a family's input and check its last
-# axis; get_test_function passes (dim,).  A 0-d input has no last axis and
-# is refused like a dimension the rule does not accept.  The try costs
-# nothing when the axis is there.
+# Each family's dimension rule: its requirement, as its error words it, and
+# the test of its input's last axis length.  get_test_function passes the
+# shape (dim,).  A 0-d input has no last axis and is refused like a
+# dimension the rule does not accept.
+_DIM_RULES = {
+    "rosenbrock2d": ("dimension 2", lambda n: n == 2),
+    "rosenbrock-pairwise": ("an even dimension >= 2", lambda n: n >= 2 and n % 2 == 0),
+    "rosenbrock-chained": ("dimension >= 2", lambda n: n >= 2),
+    "freudenstein-roth": ("an even dimension >= 2", lambda n: n >= 2 and n % 2 == 0),
+}
 
 
-def _refused(shape, name, requirement):
+def _check_dim(shape, name):
+    """ValueError, naming the family, unless its rule accepts shape's last axis."""
+    requirement, accepts = _DIM_RULES[name]
+    if shape and accepts(shape[-1]):
+        return
     got = shape[-1] if shape else "a 0-d input"
-    return ValueError(f"{name} requires {requirement}, got {got}")
-
-
-def _dim_two(shape, name):
-    try:
-        if shape[-1] == 2:
-            return
-    except IndexError:
-        pass
-    raise _refused(shape, name, "dimension 2")
-
-
-def _dim_min_two(shape, name):
-    try:
-        if shape[-1] >= 2:
-            return
-    except IndexError:
-        pass
-    raise _refused(shape, name, "dimension >= 2")
-
-
-def _dim_even(shape, name):
-    try:
-        if (n := shape[-1]) >= 2 and n % 2 == 0:
-            return
-    except IndexError:
-        pass
-    raise _refused(shape, name, "an even dimension >= 2")
+    raise ValueError(f"{name} requires {requirement}, got {got}")
 
 
 def _term_major(s):
@@ -183,7 +169,7 @@ def _rosenbrock_grad(x, step):
 def rosenbrock2d(x):
     """Banana-valley function on R^2, rosenbrock-pairwise at n = 2; minimum 0 at (1, 1)."""
     x = np.asarray(x, float)
-    _dim_two(x.shape, "rosenbrock2d")
+    _check_dim(x.shape, "rosenbrock2d")
     return _rosenbrock(x, 2)
 
 
@@ -192,7 +178,7 @@ rosenbrock2d.batched = True
 
 def rosenbrock2d_grad(x):
     x = np.asarray(x, float)
-    _dim_two(x.shape, "rosenbrock2d")
+    _check_dim(x.shape, "rosenbrock2d")
     return _rosenbrock_grad(x, 2)
 
 
@@ -202,7 +188,7 @@ rosenbrock2d_grad.batched = True
 def rosenbrock_pairwise(x):
     """Sum of independent two-variable banana terms; even dimension only."""
     x = np.asarray(x, float)
-    _dim_even(x.shape, "rosenbrock-pairwise")
+    _check_dim(x.shape, "rosenbrock-pairwise")
     return _rosenbrock(x, 2)
 
 
@@ -211,7 +197,7 @@ rosenbrock_pairwise.batched = True
 
 def rosenbrock_pairwise_grad(x):
     x = np.asarray(x, float)
-    _dim_even(x.shape, "rosenbrock-pairwise")
+    _check_dim(x.shape, "rosenbrock-pairwise")
     return _rosenbrock_grad(x, 2)
 
 
@@ -221,7 +207,7 @@ rosenbrock_pairwise_grad.batched = True
 def rosenbrock_chained(x):
     """Banana chain coupling consecutive coordinates; any dimension >= 2."""
     x = np.asarray(x, float)
-    _dim_min_two(x.shape, "rosenbrock-chained")
+    _check_dim(x.shape, "rosenbrock-chained")
     return _rosenbrock(x, 1)
 
 
@@ -230,7 +216,7 @@ rosenbrock_chained.batched = True
 
 def rosenbrock_chained_grad(x):
     x = np.asarray(x, float)
-    _dim_min_two(x.shape, "rosenbrock-chained")
+    _check_dim(x.shape, "rosenbrock-chained")
     return _rosenbrock_grad(x, 1)
 
 
@@ -240,7 +226,7 @@ rosenbrock_chained_grad.batched = True
 def freudenstein_roth(x):
     """Paired squared-residual sums; minimum 0 at (5, 4, 5, 4, ...)."""
     x = np.asarray(x, float)
-    _dim_even(x.shape, "freudenstein-roth")
+    _check_dim(x.shape, "freudenstein-roth")
     # sum of (-13 + a + b (b (5 - b) - 2))^2 + (-29 + a + b (b (b + 1) - 14))^2
     if x.ndim == 1:
         v = x.tolist()
@@ -275,7 +261,7 @@ freudenstein_roth.batched = True
 
 def freudenstein_roth_grad(x):
     x = np.asarray(x, dtype=float)
-    _dim_even(x.shape, "freudenstein-roth")
+    _check_dim(x.shape, "freudenstein-roth")
     if x.ndim == 1:
         v = x.tolist()
         g = []
@@ -336,10 +322,10 @@ def _families():
     """The family rows, built per call from the module's current functions
     so that one rebound on the module (a tracer wraps them) is handed out."""
     return {
-        "rosenbrock2d": (rosenbrock2d, rosenbrock2d_grad, _dim_two, (1.0,)),
-        "rosenbrock-pairwise": (rosenbrock_pairwise, rosenbrock_pairwise_grad, _dim_even, (1.0,)),
-        "rosenbrock-chained": (rosenbrock_chained, rosenbrock_chained_grad, _dim_min_two, (1.0,)),
-        "freudenstein-roth": (freudenstein_roth, freudenstein_roth_grad, _dim_even, (5.0, 4.0)),
+        "rosenbrock2d": (rosenbrock2d, rosenbrock2d_grad, (1.0,)),
+        "rosenbrock-pairwise": (rosenbrock_pairwise, rosenbrock_pairwise_grad, (1.0,)),
+        "rosenbrock-chained": (rosenbrock_chained, rosenbrock_chained_grad, (1.0,)),
+        "freudenstein-roth": (freudenstein_roth, freudenstein_roth_grad, (5.0, 4.0)),
     }
 
 
@@ -349,9 +335,9 @@ FUNCTION_NAMES = tuple(_families())
 def get_test_function(name, dim):
     """Build the named test function at the requested dimension; ValueError
     for an unknown name or a dimension the family's rule refuses."""
-    dim = _positive_int(dim, "dim")
+    dim = _integer(dim, "dim")
     if name not in FUNCTION_NAMES:
         raise ValueError(f"unknown test function {name!r}")
-    fn, grad, rule, unit = _families()[name]
-    rule((dim,), name)
+    _check_dim((dim,), name)
+    fn, grad, unit = _families()[name]
     return TestFunction(name, dim, fn, grad, np.tile(unit, dim // len(unit)))

@@ -12,17 +12,29 @@ finite-difference stencils evaluated one point per call, in loops.  All are
 deliberately separate from the library's own objectives, stencils and
 orthonormalization so the two never share a code path.
 
-reference_history_step and reference_householder_q are the exceptions:
-the direction history's rank-one update as first written, whole-array
-numpy with no fast paths, and the Householder Q as it was before it
-rescaled tiny matrices, kept so that the library's versions can be held to
-their bytes where they promise no change.
+reference_history_step, reference_householder_q and
+reference_rotation_scan are the exceptions: the direction history's
+rank-one update as first written, whole-array numpy with no fast paths,
+the Householder Q as it was before it rescaled tiny matrices, and the
+rotation scan as it was when it took each angle's leading-direction
+magnitude from a second stencil call, kept so that the library's versions
+can be held to their bytes where they promise no change.
 """
 
 import functools
 import math
 
 import numpy as np
+
+from gradbench.bench import DEFAULT_ROTATION_POINT, RotateRecord
+from gradbench.finite_difference import (
+    BasisMatrix,
+    FdScheme,
+    ObjectiveFn,
+    directional_derivative,
+    gradient_in_basis,
+)
+from gradbench.testbed import grad_mse, rosenbrock2d, rosenbrock2d_grad
 
 
 def richardson_gradient(fn, x, h0=1e-2, levels=4):
@@ -238,3 +250,28 @@ def reference_householder_q(M):
     if dependent.size:
         return int(dependent[0])
     return Q * np.where(diag < 0.0, -1.0, 1.0)
+
+
+def reference_rotation_scan(x=DEFAULT_ROTATION_POINT, angle_step=np.pi / 1000.0,
+                            scheme=FdScheme()):
+    """The rotation scan's records, the estimate at each angle from
+    gradient_in_basis and its leading-direction magnitude from a separate
+    directional_derivative call along column 0."""
+    objective = ObjectiveFn(rosenbrock2d, 2)
+    x = np.asarray(x, dtype=float)
+    exact = rosenbrock2d_grad(x)
+    records = []
+    k = 0
+    while k * angle_step < np.pi:
+        basis = BasisMatrix.rotation_2d(k * angle_step)
+        estimate = gradient_in_basis(objective, x, basis, scheme)
+        magnitude = abs(directional_derivative(objective, x, basis.matrix[:, 0], scheme))
+        records.append(
+            RotateRecord(
+                angle=k * angle_step,
+                mse=grad_mse(estimate.values, exact),
+                dir_grad_magnitude=magnitude,
+            )
+        )
+        k += 1
+    return records

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from oracle import reference_rotation_scan
 from scipy import stats
 
 from gradbench import bench
@@ -113,7 +114,7 @@ class TestRunComparison:
         ]
         assert runs[0] == runs[1] == runs[2]
 
-    def test_invalid_arguments_rejected(self):
+    def test_invalid_arguments_rejected(self, monkeypatch):
         with pytest.raises(ValueError):
             bench.run_comparison("rosenbrock-pairwise", 5, reps=1, seed=0)
         with pytest.raises(ValueError):
@@ -128,6 +129,23 @@ class TestRunComparison:
             bench.run_comparison(chained3, 4, reps=1, seed=0)
         with pytest.raises(ValueError, match="unknown method"):
             bench._recorded_run(chained3, np.zeros(3), FdScheme(), "newton")
+
+        def never(*args):
+            raise AssertionError("evaluated")
+
+        # a seed is refused before any objective is built
+        monkeypatch.setattr(bench, "ObjectiveFn", never)
+        for seed in (-1, 1.5, True, "0"):
+            with pytest.raises(ValueError, match="^seed must be"):
+                bench.run_comparison("rosenbrock-chained", 3, reps=1, seed=seed)
+            with pytest.raises(ValueError, match="^seed must be"):
+                bench.run_hessian_demo("rosenbrock-chained", 3, seed=seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        assert (bench.run_comparison("rosenbrock-chained", 3, reps=1, seed=np.int64(2))
+                == bench.run_comparison("rosenbrock-chained", 3, reps=1, seed=2))
+        assert (repr(bench.run_hessian_demo("rosenbrock2d", 2, seed=np.uint8(1)))
+                == repr(bench.run_hessian_demo("rosenbrock2d", 2, seed=1)))
 
 
 class TestBenchRecord:
@@ -228,9 +246,36 @@ class TestRotationScan:
                               [r.dir_grad_magnitude for r in half]).statistic
         assert rho < -0.3
 
+    @pytest.mark.parametrize("scheme, stencil", [
+        (FdScheme("central1"), 4), (FdScheme("central4"), 8), (FdScheme("forward1"), 3),
+    ])
+    def test_one_stencil_per_angle(self, monkeypatch, scheme, stencil):
+        objectives = []
+
+        class CountedObjective(ObjectiveFn):
+            def __init__(self, *args):
+                super().__init__(*args)
+                objectives.append(self)
+
+        monkeypatch.setattr(bench, "ObjectiveFn", CountedObjective)
+        records = bench.run_rotation_scan(angle_step=0.5, scheme=scheme)
+        [objective] = objectives
+        assert objective.eval_count == stencil * len(records)
+
+    @pytest.mark.parametrize("scheme", [FdScheme(name) for name in ("central1", "central4", "forward1")])
+    @pytest.mark.parametrize("x", [bench.DEFAULT_ROTATION_POINT, (1.3, -0.7)])
+    def test_records_match_the_two_call_scan(self, scheme, x):
+        # the magnitude is read off the estimate's own stencil; a separate
+        # directional derivative along column 0 gives the same bits
+        expected = reference_rotation_scan(x, np.pi / 16, scheme)
+        assert bench.run_rotation_scan(x, np.pi / 16, scheme) == expected
+
     def test_invalid_arguments_rejected(self):
         for angle_step in (0.0, np.nan, np.inf):
             with pytest.raises(ValueError):
+                bench.run_rotation_scan(angle_step=angle_step)
+        for angle_step in (True, "0.5"):
+            with pytest.raises(ValueError, match="angle_step must be a number"):
                 bench.run_rotation_scan(angle_step=angle_step)
         for x in (np.zeros(3), (np.nan, 0.4), (-0.29, np.inf)):
             with pytest.raises(ValueError):

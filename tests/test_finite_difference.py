@@ -65,9 +65,9 @@ class TestFdScheme:
         with pytest.raises(ValueError, match="forward4"):
             FdScheme("forward4")
 
-    @pytest.mark.parametrize("step", [0.0, -1e-3, np.inf, np.nan])
+    @pytest.mark.parametrize("step", [0.0, -1e-3, np.inf, np.nan, True, np.True_, "0.001", None])
     def test_nonpositive_step_rejected(self, step):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^step must be"):
             FdScheme(step=step)
 
     @pytest.mark.parametrize("name", ["central2", "backward1", "central"])

@@ -48,10 +48,13 @@ class TestBfgsOptions:
             {"max_iters": "3"},
             {"grad_tol": -1e-6},
             {"grad_tol": float("nan")},
+            {"grad_tol": True},
+            {"grad_tol": "1"},
         ],
     )
     def test_invalid_options_rejected(self, kwargs):
-        with pytest.raises(ValueError):
+        [field] = kwargs
+        with pytest.raises(ValueError, match=f"^{field} must be"):
             BfgsOptions(**kwargs)
 
 

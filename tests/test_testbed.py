@@ -21,13 +21,12 @@ from oracle import (
 
 
 def accepted_dims(name, high):
-    """The dimensions from 1 to high that the family's rule in
-    testbed._families() accepts."""
-    rule = testbed._families()[name][2]
+    """The dimensions from 1 to high that the family's rule accepts, read
+    through testbed._check_dim."""
     dims = []
     for n in range(1, high + 1):
         try:
-            rule((n,), name)
+            testbed._check_dim((n,), name)
         except ValueError:
             continue
         dims.append(n)
