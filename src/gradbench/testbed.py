@@ -54,23 +54,29 @@ import numpy as np
 from .finite_difference import _integer
 
 
-# Each family's dimension rule: its requirement, as its error words it, and
-# the test of its input's last axis length.  get_test_function passes the
-# shape (dim,).  A 0-d input has no last axis and is refused like a
+# Each family's dimension rule, as plain bounds on its input's last axis
+# length n: its requirement, as its error words it; the least n; whether n
+# must be even; and the one n it takes, or None.  get_test_function passes
+# the shape (dim,).  A 0-d input has no last axis and is refused like a
 # dimension the rule does not accept.
+_EVEN = ("an even dimension >= 2", 2, True, None)
 _DIM_RULES = {
-    "rosenbrock2d": ("dimension 2", lambda n: n == 2),
-    "rosenbrock-pairwise": ("an even dimension >= 2", lambda n: n >= 2 and n % 2 == 0),
-    "rosenbrock-chained": ("dimension >= 2", lambda n: n >= 2),
-    "freudenstein-roth": ("an even dimension >= 2", lambda n: n >= 2 and n % 2 == 0),
+    "rosenbrock2d": ("dimension 2", 2, False, 2),
+    "rosenbrock-pairwise": _EVEN,
+    "rosenbrock-chained": ("dimension >= 2", 2, False, None),
+    "freudenstein-roth": _EVEN,
 }
 
 
 def _check_dim(shape, name):
     """ValueError, naming the family, unless its rule accepts shape's last axis."""
-    requirement, accepts = _DIM_RULES[name]
-    if shape and accepts(shape[-1]):
-        return
+    requirement, least, even, exact = _DIM_RULES[name]
+    try:
+        n = shape[-1]
+        if n >= least and not (even and n % 2) and (exact is None or n == exact):
+            return
+    except IndexError:
+        pass
     got = shape[-1] if shape else "a 0-d input"
     raise ValueError(f"{name} requires {requirement}, got {got}")
 

@@ -16,9 +16,10 @@ reference_history_step, reference_householder_q and
 reference_rotation_scan are the exceptions: the direction history's
 rank-one update as first written, whole-array numpy with no fast paths,
 the Householder Q as it was before it rescaled tiny matrices, and the
-rotation scan as it was when it took each angle's leading-direction
-magnitude from a second stencil call, kept so that the library's versions
-can be held to their bytes where they promise no change.
+rotation scan from one directional_derivative call per basis column and a
+second call for the leading-direction magnitude, as it was before the scan
+read both off one stencil, kept so that the library's versions can be held
+to their bytes where they promise no change.
 """
 
 import functools
@@ -26,13 +27,11 @@ import math
 
 import numpy as np
 
-from gradbench.bench import DEFAULT_ROTATION_POINT, RotateRecord
+from gradbench.bench import RotateRecord
 from gradbench.finite_difference import (
     BasisMatrix,
-    FdScheme,
     ObjectiveFn,
     directional_derivative,
-    gradient_in_basis,
 )
 from gradbench.testbed import grad_mse, rosenbrock2d, rosenbrock2d_grad
 
@@ -252,11 +251,11 @@ def reference_householder_q(M):
     return Q * np.where(diag < 0.0, -1.0, 1.0)
 
 
-def reference_rotation_scan(x=DEFAULT_ROTATION_POINT, angle_step=np.pi / 1000.0,
-                            scheme=FdScheme()):
-    """The rotation scan's records, the estimate at each angle from
-    gradient_in_basis and its leading-direction magnitude from a separate
-    directional_derivative call along column 0."""
+def reference_rotation_scan(x, angle_step, scheme):
+    """The rotation scan's records, with one directional_derivative call per
+    column of each angle's basis: the estimate is basis.matrix @ (the two
+    derivatives), as a rotation is orthonormal, and its leading-direction
+    magnitude is the column-0 derivative's, taken from a separate call."""
     objective = ObjectiveFn(rosenbrock2d, 2)
     x = np.asarray(x, dtype=float)
     exact = rosenbrock2d_grad(x)
@@ -264,12 +263,12 @@ def reference_rotation_scan(x=DEFAULT_ROTATION_POINT, angle_step=np.pi / 1000.0,
     k = 0
     while k * angle_step < np.pi:
         basis = BasisMatrix.rotation_2d(k * angle_step)
-        estimate = gradient_in_basis(objective, x, basis, scheme)
+        inner = np.array([directional_derivative(objective, x, d, scheme) for d in basis.matrix.T])
         magnitude = abs(directional_derivative(objective, x, basis.matrix[:, 0], scheme))
         records.append(
             RotateRecord(
                 angle=k * angle_step,
-                mse=grad_mse(estimate.values, exact),
+                mse=grad_mse(basis.matrix @ inner, exact),
                 dir_grad_magnitude=magnitude,
             )
         )

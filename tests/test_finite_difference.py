@@ -1,5 +1,6 @@
 import tracemalloc
 import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -65,7 +66,11 @@ class TestFdScheme:
         with pytest.raises(ValueError, match="forward4"):
             FdScheme("forward4")
 
-    @pytest.mark.parametrize("step", [0.0, -1e-3, np.inf, np.nan, True, np.True_, "0.001", None])
+    # a 0-d array and a Decimal are not numbers.Real, so they are refused too
+    @pytest.mark.parametrize(
+        "step",
+        [0.0, -1e-3, np.inf, np.nan, True, np.True_, "0.001", None, np.array(1e-3), Decimal("0.001")],
+    )
     def test_nonpositive_step_rejected(self, step):
         with pytest.raises(ValueError, match="^step must be"):
             FdScheme(step=step)
@@ -74,6 +79,10 @@ class TestFdScheme:
     def test_unknown_name_rejected(self, name):
         with pytest.raises(ValueError, match=name):
             FdScheme(name)
+
+    @pytest.mark.parametrize("step", [1, np.float64(1e-3), np.float32(1e-3), np.int64(1)])
+    def test_real_scalar_step_accepted(self, step):
+        assert FdScheme(step=step).step == step
 
     def test_from_name(self):
         assert FdScheme.from_name("central1") == FdScheme("central1", 1e-3)
