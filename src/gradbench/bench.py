@@ -117,6 +117,13 @@ def _resolve_function(function, dim):
     return get_test_function(function, dim)
 
 
+def _check_scheme(scheme):
+    """scheme; ValueError unless it is an FdScheme."""
+    if not isinstance(scheme, FdScheme):
+        raise ValueError(f"scheme must be an FdScheme, got {scheme!r}")
+    return scheme
+
+
 def _analytic_grads(test_fn, points):
     """The analytic gradient at each row of `points`: one call when the
     gradient is marked batched (as the testbed's are), else one per row."""
@@ -158,7 +165,7 @@ def _recorded_run(test_fn, x0, scheme, method):
     return [(i, mse, math.sqrt(e @ e)) for i, (mse, e) in enumerate(zip(mses, exact))]
 
 
-def run_comparison(function, dim, reps=100, seed=0, scheme=None):
+def run_comparison(function, dim, reps=100, seed=0, scheme=FdScheme()):
     """Race the two estimators over repeated BFGS runs.
 
     For every rep a random start is drawn (isotropic normal with spread
@@ -170,8 +177,7 @@ def run_comparison(function, dim, reps=100, seed=0, scheme=None):
     test_fn = _resolve_function(function, dim)
     reps = _integer(reps, "reps")
     seed = _integer(seed, "seed", least=0)
-    if scheme is None:
-        scheme = FdScheme()
+    scheme = _check_scheme(scheme)
     records = []
     for rep in range(reps):
         x0 = _draw_start(seed, rep, dim)
@@ -227,7 +233,7 @@ def mean_mse_by_iteration(records):
 
 
 def run_rotation_scan(x=DEFAULT_ROTATION_POINT, angle_step=DEFAULT_ANGLE_STEP,
-                      scheme=None):
+                      scheme=FdScheme()):
     """Scan the 2-D banana-valley gradient estimate over rotated bases.
 
     For each angle t in [0, pi) the estimate is taken along the columns of
@@ -240,8 +246,7 @@ def run_rotation_scan(x=DEFAULT_ROTATION_POINT, angle_step=DEFAULT_ANGLE_STEP,
     """
     if not 0.0 < _number(angle_step, "angle_step") < np.inf:
         raise ValueError("angle_step must be positive and finite")
-    if scheme is None:
-        scheme = FdScheme()
+    scheme = _check_scheme(scheme)
     objective = ObjectiveFn(rosenbrock2d, 2)
     x = _check_point(objective, x)
     exact = rosenbrock2d_grad(x)

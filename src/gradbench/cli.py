@@ -6,7 +6,11 @@ Subcommands:
   hessian    drive BFGS to a mode and print the Hessian estimated there
   summarize  print per-method average MSE and the improvement ratio
 
-Exit status is 0 on success and 2 for invalid arguments.
+The --step and --scheme defaults are FdScheme's, and every rule on an
+argument's value but the --out and --x0 parse is the library's.  Exit status
+is 0 on success and 2, with the library's message, for invalid arguments,
+which are refused before any work.  An error raised during a bench or
+hessian run is not caught, so it keeps its traceback.
 """
 
 import argparse
@@ -15,7 +19,7 @@ import os
 import numpy as np
 
 from . import bench
-from .finite_difference import SCHEME_NAMES, FdScheme
+from .finite_difference import SCHEME_NAMES, FdScheme, _integer
 from .testbed import FUNCTION_NAMES, get_test_function
 
 
@@ -27,17 +31,19 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # the BFGS run that bench and hessian share
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--function", required=True,
+                     help=f"one of: {', '.join(FUNCTION_NAMES)}")
+    run.add_argument("--dim", type=int, required=True)
+    run.add_argument("--seed", type=int, default=0)
+
     bench_p = sub.add_parser(
-        "bench", help="compare canonical and history-basis gradient accuracy"
+        "bench", parents=[run], help="compare canonical and history-basis gradient accuracy"
     )
-    bench_p.add_argument("--function", required=True,
-                         help=f"one of: {', '.join(FUNCTION_NAMES)}")
-    bench_p.add_argument("--dim", type=int, required=True)
     bench_p.add_argument("--reps", type=int, default=100)
-    bench_p.add_argument("--seed", type=int, default=0)
-    bench_p.add_argument("--step", type=float, default=1e-3)
-    bench_p.add_argument("--scheme", choices=SCHEME_NAMES, default="central1")
-    bench_p.add_argument("--out", required=True, help="output CSV path")
+    bench_p.add_argument("--scheme", choices=SCHEME_NAMES, default=FdScheme.name)
+    bench_p.set_defaults(handler=_cmd_bench)
 
     rotate_p = sub.add_parser(
         "rotate", help="scan gradient-estimate error over rotated bases"
@@ -46,36 +52,32 @@ def build_parser():
                           help="evaluation point as 'a,b'")
     rotate_p.add_argument("--angle-step", type=float,
                           default=float(bench.DEFAULT_ANGLE_STEP))
-    rotate_p.add_argument("--step", type=float, default=1e-3)
-    rotate_p.add_argument("--out", required=True, help="output CSV path")
+    rotate_p.set_defaults(handler=_cmd_rotate)
+
+    for estimates_p in (bench_p, rotate_p):
+        estimates_p.add_argument("--step", type=float, default=FdScheme.step)
+        estimates_p.add_argument("--out", required=True, help="output CSV path")
 
     hessian_p = sub.add_parser(
-        "hessian", help="print the history-basis Hessian at the found mode"
+        "hessian", parents=[run], help="print the history-basis Hessian at the found mode"
     )
-    hessian_p.add_argument("--function", required=True,
-                           help=f"one of: {', '.join(FUNCTION_NAMES)}")
-    hessian_p.add_argument("--dim", type=int, required=True)
-    hessian_p.add_argument("--seed", type=int, default=0)
+    hessian_p.set_defaults(handler=_cmd_hessian)
 
     summarize_p = sub.add_parser(
         "summarize", help="print average MSE per method and improvement ratio"
     )
     summarize_p.add_argument("--in", dest="in_path", required=True,
                              help="CSV produced by `gradbench bench`")
+    summarize_p.set_defaults(handler=_cmd_summarize)
     return parser
 
 
-def _scheme_or_die(parser, name, step):
+def _or_die(parser, call, *args, **kwargs):
+    """call(*args, **kwargs); a ValueError or OSError it raises exits 2 with
+    its message."""
     try:
-        return FdScheme(name, step)
-    except ValueError as exc:
-        parser.error(str(exc))
-
-
-def _function_or_die(parser, name, dim):
-    try:
-        return get_test_function(name, dim)
-    except ValueError as exc:
+        return call(*args, **kwargs)
+    except (ValueError, OSError) as exc:
         parser.error(str(exc))
 
 
@@ -93,12 +95,10 @@ def _out_dir_or_die(parser, path):
 
 def _cmd_bench(parser, args):
     _out_dir_or_die(parser, args.out)
-    test_fn = _function_or_die(parser, args.function, args.dim)
-    scheme = _scheme_or_die(parser, args.scheme, args.step)
-    if args.reps < 1:
-        parser.error("--reps must be at least 1")
-    if args.seed < 0:
-        parser.error("--seed must be non-negative")
+    test_fn = _or_die(parser, get_test_function, args.function, args.dim)
+    scheme = _or_die(parser, FdScheme, args.scheme, args.step)
+    _or_die(parser, _integer, args.reps, "reps")
+    _or_die(parser, _integer, args.seed, "seed", least=0)
     records = bench.run_comparison(
         test_fn, args.dim, reps=args.reps, seed=args.seed, scheme=scheme
     )
@@ -112,19 +112,15 @@ def _cmd_rotate(parser, args):
         x0 = np.array([float(part) for part in args.x0.split(",")])
     except ValueError:
         parser.error("--x0 must be two comma-separated numbers")
-    scheme = _scheme_or_die(parser, "central1", args.step)
-    try:
-        records = bench.run_rotation_scan(x0, angle_step=args.angle_step, scheme=scheme)
-    except ValueError as exc:
-        parser.error(str(exc))
+    scheme = _or_die(parser, FdScheme, step=args.step)
+    records = _or_die(parser, bench.run_rotation_scan, x0, args.angle_step, scheme)
     bench.write_rotate_csv(records, args.out)
     print(f"wrote {len(records)} records to {args.out}")
 
 
 def _cmd_hessian(parser, args):
-    test_fn = _function_or_die(parser, args.function, args.dim)
-    if args.seed < 0:
-        parser.error("--seed must be non-negative")
+    test_fn = _or_die(parser, get_test_function, args.function, args.dim)
+    _or_die(parser, _integer, args.seed, "seed", least=0)
     demo = bench.run_hessian_demo(test_fn, args.dim, seed=args.seed)
     print(f"function: {demo.function}  dim: {demo.dim}  seed: {args.seed}")
     print(f"converged: {demo.converged}")
@@ -137,14 +133,8 @@ def _cmd_hessian(parser, args):
 
 
 def _cmd_summarize(parser, args):
-    try:
-        records = bench.read_bench_csv(args.in_path)
-    except (OSError, ValueError) as exc:
-        parser.error(str(exc))
-    try:
-        summary = bench.summarize(records)
-    except ValueError as exc:
-        parser.error(str(exc))
+    records = _or_die(parser, bench.read_bench_csv, args.in_path)
+    summary = _or_die(parser, bench.summarize, records)
     print("\n".join(_summary_lines(summary)))
 
 
@@ -160,13 +150,7 @@ def _summary_lines(summary):
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "bench": _cmd_bench,
-        "rotate": _cmd_rotate,
-        "hessian": _cmd_hessian,
-        "summarize": _cmd_summarize,
-    }
-    handlers[args.command](parser, args)
+    args.handler(parser, args)
     return 0
 
 

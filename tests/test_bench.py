@@ -30,6 +30,31 @@ def sphere_function(dim):
     )
 
 
+@pytest.fixture
+def objectives(monkeypatch):
+    """Every ObjectiveFn that bench builds while the test runs."""
+    built = []
+
+    class CountedObjective(ObjectiveFn):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(bench, "ObjectiveFn", CountedObjective)
+    return built
+
+
+@pytest.mark.parametrize("run", [
+    lambda scheme: bench.run_comparison("rosenbrock-chained", 3, reps=1, scheme=scheme),
+    lambda scheme: bench.run_rotation_scan(scheme=scheme),
+], ids=["run_comparison", "run_rotation_scan"])
+@pytest.mark.parametrize("scheme", ["central4", None])
+def test_scheme_refused_before_any_evaluation(objectives, run, scheme):
+    with pytest.raises(ValueError, match=f"^scheme must be an FdScheme, got {scheme!r}$"):
+        run(scheme)
+    assert sum(objective.eval_count for objective in objectives) == 0
+
+
 class TestRunComparison:
     def test_quadratic_is_exact_for_both_methods(self):
         records = bench.run_comparison(sphere_function(4), 4, reps=1, seed=0)
@@ -249,15 +274,7 @@ class TestRotationScan:
     @pytest.mark.parametrize("scheme, stencil", [
         (FdScheme("central1"), 4), (FdScheme("central4"), 8), (FdScheme("forward1"), 3),
     ])
-    def test_one_stencil_per_angle(self, monkeypatch, scheme, stencil):
-        objectives = []
-
-        class CountedObjective(ObjectiveFn):
-            def __init__(self, *args):
-                super().__init__(*args)
-                objectives.append(self)
-
-        monkeypatch.setattr(bench, "ObjectiveFn", CountedObjective)
+    def test_one_stencil_per_angle(self, objectives, scheme, stencil):
         records = bench.run_rotation_scan(angle_step=0.5, scheme=scheme)
         [objective] = objectives
         assert objective.eval_count == stencil * len(records)

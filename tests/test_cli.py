@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -40,26 +41,37 @@ class TestBenchCommand:
         ])
         assert code == 0
 
-    @pytest.mark.parametrize("argv", [
-        ["bench", "--function", "nope", "--dim", "3", "--out", "x.csv"],
-        ["bench", "--function", "freudenstein-roth", "--dim", "5", "--out", "x.csv"],
-        ["bench", "--function", "rosenbrock2d", "--dim", "3", "--out", "x.csv"],
-        ["bench", "--function", "rosenbrock2d", "--dim", "2", "--scheme",
-         "central2", "--out", "x.csv"],
-        ["bench", "--function", "rosenbrock2d", "--dim", "2", "--step", "-1",
-         "--out", "x.csv"],
-        ["bench", "--function", "rosenbrock2d", "--dim", "2", "--step", "inf",
-         "--out", "x.csv"],
-        ["bench", "--function", "rosenbrock2d", "--dim", "2", "--step", "nan",
-         "--out", "x.csv"],
-        ["bench", "--function", "rosenbrock2d", "--dim", "2", "--reps", "0",
-         "--out", "x.csv"],
-        ["bench", "--function", "rosenbrock2d", "--dim", "2", "--seed", "-3",
-         "--out", "x.csv"],
-        ["bench", "--dim", "2", "--out", "x.csv"],
+    @pytest.mark.parametrize("argv, message", [
+        (["bench", "--function", "nope", "--dim", "3", "--out", "x.csv"],
+         "unknown test function 'nope'"),
+        (["bench", "--function", "freudenstein-roth", "--dim", "5", "--out", "x.csv"],
+         "freudenstein-roth requires an even dimension >= 2, got 5"),
+        (["bench", "--function", "rosenbrock2d", "--dim", "3", "--out", "x.csv"],
+         "rosenbrock2d requires dimension 2, got 3"),
+        (["bench", "--function", "rosenbrock2d", "--dim", "2", "--scheme",
+          "central2", "--out", "x.csv"],
+         "argument --scheme: invalid choice: 'central2'"),
+        (["bench", "--function", "rosenbrock2d", "--dim", "2", "--step", "-1",
+          "--out", "x.csv"],
+         "step must be positive and finite"),
+        (["bench", "--function", "rosenbrock2d", "--dim", "2", "--step", "inf",
+          "--out", "x.csv"],
+         "step must be positive and finite"),
+        (["bench", "--function", "rosenbrock2d", "--dim", "2", "--step", "nan",
+          "--out", "x.csv"],
+         "step must be positive and finite"),
+        (["bench", "--function", "rosenbrock2d", "--dim", "2", "--reps", "0",
+          "--out", "x.csv"],
+         "reps must be an integer >= 1, got 0"),
+        (["bench", "--function", "rosenbrock2d", "--dim", "2", "--seed", "-3",
+          "--out", "x.csv"],
+         "seed must be an integer >= 0, got -3"),
+        (["bench", "--dim", "2", "--out", "x.csv"],
+         "the following arguments are required: --function"),
     ])
-    def test_invalid_arguments_exit_2(self, argv):
+    def test_invalid_arguments_exit_2(self, argv, message, capsys):
         assert run_cli(argv) == 2
+        assert capsys.readouterr().err.count(message) == 1
 
     def test_missing_out_directory_exits_2_before_running(
         self, tmp_path, capsys, monkeypatch
@@ -108,18 +120,26 @@ class TestRotateCommand:
         assert run_cli(["rotate", "--x0", "1.0,1.0", "--angle-step", "0.5",
                         "--out", str(out)]) == 0
 
-    @pytest.mark.parametrize("argv", [
-        ["rotate", "--x0", "1.0", "--out", "x.csv"],
-        ["rotate", "--x0", "a,b", "--out", "x.csv"],
-        ["rotate", "--angle-step", "0", "--out", "x.csv"],
-        ["rotate", "--angle-step", "nan", "--out", "x.csv"],
-        ["rotate", "--angle-step", "inf", "--out", "x.csv"],
-        ["rotate", "--x0", "nan,0.4", "--out", "x.csv"],
-        ["rotate", "--x0=-0.29,inf", "--out", "x.csv"],
-        ["rotate", "--step", "-1e-3", "--out", "x.csv"],
+    @pytest.mark.parametrize("argv, message", [
+        (["rotate", "--x0", "1.0", "--out", "x.csv"],
+         "expected a point of shape (2,), got shape (1,)"),
+        (["rotate", "--x0", "a,b", "--out", "x.csv"],
+         "--x0 must be two comma-separated numbers"),
+        (["rotate", "--angle-step", "0", "--out", "x.csv"],
+         "angle_step must be positive and finite"),
+        (["rotate", "--angle-step", "nan", "--out", "x.csv"],
+         "angle_step must be positive and finite"),
+        (["rotate", "--angle-step", "inf", "--out", "x.csv"],
+         "angle_step must be positive and finite"),
+        (["rotate", "--x0", "nan,0.4", "--out", "x.csv"], "x must be finite"),
+        (["rotate", "--x0=-0.29,inf", "--out", "x.csv"], "x must be finite"),
+        (["rotate", "--step", "-1e-3", "--out", "x.csv"],
+         "argument --step: expected one argument"),
+        (["rotate", "--step=-1e-3", "--out", "x.csv"], "step must be positive and finite"),
     ])
-    def test_invalid_arguments_exit_2(self, argv):
+    def test_invalid_arguments_exit_2(self, argv, message, capsys):
         assert run_cli(argv) == 2
+        assert capsys.readouterr().err.count(message) == 1
 
     def test_missing_out_directory_exits_2(self, tmp_path, capsys):
         out = tmp_path / "missing" / "rot.csv"
@@ -162,13 +182,16 @@ class TestHessianCommand:
         i = lines.index("converged: False")
         assert lines[i + 1] == "stop reason: line_search: zoom interval collapsed"
 
-    @pytest.mark.parametrize("argv", [
-        ["hessian", "--function", "nope", "--dim", "2"],
-        ["hessian", "--function", "rosenbrock2d", "--dim", "3"],
-        ["hessian", "--function", "rosenbrock2d", "--dim", "2", "--seed", "-1"],
+    @pytest.mark.parametrize("argv, message", [
+        (["hessian", "--function", "nope", "--dim", "2"], "unknown test function 'nope'"),
+        (["hessian", "--function", "rosenbrock2d", "--dim", "3"],
+         "rosenbrock2d requires dimension 2, got 3"),
+        (["hessian", "--function", "rosenbrock2d", "--dim", "2", "--seed", "-1"],
+         "seed must be an integer >= 0, got -1"),
     ])
-    def test_invalid_arguments_exit_2(self, argv):
+    def test_invalid_arguments_exit_2(self, argv, message, capsys):
         assert run_cli(argv) == 2
+        assert capsys.readouterr().err.count(message) == 1
 
 
 @pytest.mark.parametrize("argv", [
@@ -188,6 +211,34 @@ def test_test_function_is_built_once(argv, tmp_path, monkeypatch):
     out = ["--out", str(tmp_path / "r.csv")] if argv[0] == "bench" else []
     assert run_cli(argv + out) == 0
     assert calls == [argv[2]]
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("bench", {"--function", "--dim", "--reps", "--seed", "--step", "--scheme", "--out"}),
+    ("rotate", {"--x0", "--angle-step", "--step", "--out"}),
+    ("hessian", {"--function", "--dim", "--seed"}),
+    ("summarize", {"--in"}),
+])
+def test_subcommand_help_lists_every_flag(command, flags, capsys):
+    assert run_cli([command, "--help"]) == 0
+    listed = re.findall(r"^  (?:-h, )?(--[\w-]+)", capsys.readouterr().out, re.MULTILINE)
+    assert sorted(listed) == sorted(flags | {"--help"})
+
+
+@pytest.mark.parametrize("argv, run", [
+    (["bench", "--function", "rosenbrock-chained", "--dim", "3", "--reps", "1"],
+     "run_comparison"),
+    (["hessian", "--function", "rosenbrock2d", "--dim", "2"], "run_hessian_demo"),
+], ids=["bench", "hessian"])
+def test_an_error_mid_run_is_not_an_argument_error(argv, run, tmp_path, monkeypatch):
+    # only the arguments are checked for exit status 2; a defect keeps its traceback
+    def defect(*args, **kwargs):
+        raise ValueError("defect")
+
+    monkeypatch.setattr(bench, run, defect)
+    out = ["--out", str(tmp_path / "r.csv")] if argv[0] == "bench" else []
+    with pytest.raises(ValueError, match="^defect$"):
+        main(argv + out)
 
 
 class TestSummarizeCommand:
@@ -215,7 +266,8 @@ class TestSummarizeCommand:
         assert run_cli(["summarize", "--in", str(tmp_path / "absent.csv")]) == 2
 
     @pytest.mark.parametrize("text,message", [
-        ("function,dim,rep,iteration,method,grad_norm\nf,2,0,0,smart,1.0\n", "mse"),
+        ("function,dim,rep,iteration,method,grad_norm\nf,2,0,0,smart,1.0\n",
+         "records.csv: missing column(s) mse"),
         ("function,dim,rep,iteration,method,mse,grad_norm\n"
          "f,2,0,0,smart,1.0,2.0\nf,2,0,1,sma", "line 3"),
         ("function,dim,rep,iteration,method,mse,grad_norm\n"
@@ -225,7 +277,7 @@ class TestSummarizeCommand:
         path = tmp_path / "records.csv"
         path.write_text(text)
         assert run_cli(["summarize", "--in", str(path)]) == 2
-        assert message in capsys.readouterr().err
+        assert capsys.readouterr().err.count(message) == 1
 
 
 def run_module(*args):
