@@ -100,13 +100,10 @@ class HessianDemo:
     converged = OptimResult.converged  # the same test of reason
 
 
-def _rep_rng(seed, rep):
-    # counter-based split: each rep draws from an independent stream
-    return np.random.default_rng(np.random.SeedSequence([seed, rep]))
-
-
 def _draw_start(seed, rep, dim):
-    return START_SCALE * _rep_rng(seed, rep).standard_normal(dim)
+    # counter-based split: each rep draws from an independent stream
+    rng = np.random.default_rng(np.random.SeedSequence([seed, rep]))
+    return START_SCALE * rng.standard_normal(dim)
 
 
 def _resolve_function(function, dim):
@@ -132,35 +129,27 @@ def _analytic_grads(test_fn, points):
     return np.array([test_fn.grad(x) for x in points], dtype=float)
 
 
-def _recorded_run(test_fn, x0, scheme, method):
-    """One BFGS run; returns (iteration, mse, grad_norm) per gradient call.
-
-    The gradient callback only keeps its estimates; they are scored after
-    the run.  The optimizer calls it once per accepted iterate, so row i of
-    the run's trajectory is the point of estimate i, and all the analytic
-    gradients and MSEs of a run are taken in one batch each.
-    """
+def _bfgs_run(test_fn, x0, scheme, method):
+    """BFGS from x0 with the method's gradient callback; returns (result, callback)."""
     objective = ObjectiveFn(test_fn.fn, test_fn.dim)
     if method == "smart":
-        inner = wrap(objective, scheme)
+        grad = wrap(objective, scheme)
     elif method == "vanilla":
 
-        def inner(x):
+        def grad(x):
             return vanilla_gradient(objective, x, scheme).values
 
     else:
         raise ValueError(f"unknown method {method!r}")
+    return bfgs_minimize(objective, grad, x0), grad
 
-    estimates = []
 
-    def recording_grad(x):
-        values = inner(x)
-        estimates.append(values)
-        return values
-
-    result = bfgs_minimize(objective, recording_grad, x0)
+def _recorded_run(test_fn, x0, scheme, method):
+    """One BFGS run; (iteration, mse, grad_norm) per accepted iterate, its
+    OptimResult.gradients scored in one batch after the run ends."""
+    result, _ = _bfgs_run(test_fn, x0, scheme, method)
     exact = _analytic_grads(test_fn, result.trajectory)
-    mses = grad_mse(np.array(estimates), exact).tolist()
+    mses = grad_mse(result.gradients, exact).tolist()
     # one dot per row: a batched sum of squares would add in another order
     return [(i, mse, math.sqrt(e @ e)) for i, (mse, e) in enumerate(zip(mses, exact))]
 
@@ -271,10 +260,8 @@ def run_hessian_demo(function, dim, seed=0):
     the Hessian there along the directions the run accumulated."""
     test_fn = _resolve_function(function, dim)
     seed = _integer(seed, "seed", least=0)
-    objective = ObjectiveFn(test_fn.fn, test_fn.dim)
-    grad_cb = wrap(objective)
-    result = bfgs_minimize(objective, grad_cb, _draw_start(seed, 0, dim))
-    estimate = grad_cb.estimator.smart_hessian(result.x_opt)
+    result, grad = _bfgs_run(test_fn, _draw_start(seed, 0, dim), FdScheme(), "smart")
+    estimate = grad.estimator.smart_hessian(result.x_opt)
     eigenvalues = np.linalg.eigvalsh(estimate.values)
     return HessianDemo(
         function=test_fn.name,

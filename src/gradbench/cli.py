@@ -49,7 +49,7 @@ def build_parser():
         "rotate", help="scan gradient-estimate error over rotated bases"
     )
     rotate_p.add_argument("--x0", default=",".join(map(repr, bench.DEFAULT_ROTATION_POINT)),
-                          help="evaluation point as 'a,b'")
+                          help="evaluation point 'a,b'; pass one starting with - as --x0=-0.29,0.4")
     rotate_p.add_argument("--angle-step", type=float,
                           default=float(bench.DEFAULT_ANGLE_STEP))
     rotate_p.set_defaults(handler=_cmd_rotate)

@@ -4,10 +4,11 @@ The gradient callback is invoked exactly once per accepted iterate
 (including the starting point), never at rejected trial points: the line
 search works from function values alone, checking the curvature condition
 with one-dimensional central differences along the search ray.  This keeps
-stateful gradient callbacks fed with genuine accepted steps.  The two
-points of each such difference go to the objective as two lone points,
-like a trial step: a test-function family sums a lone point in Python
-floats, which costs less than a batch of two in numpy.
+stateful gradient callbacks fed with genuine accepted steps, and the run
+returns what the callback gave at each iterate beside the iterate itself.
+The two points of each such difference go to the objective as two lone
+points, like a trial step: a test-function family sums a lone point in
+Python floats, which costs less than a batch of two in numpy.
 
 The line-search constants are fixed at the standard quasi-Newton values
 (Nocedal & Wright, *Numerical Optimization*, 2nd ed., section 3.1):
@@ -36,7 +37,7 @@ class LineSearchError(RuntimeError):
     """No step satisfying the Wolfe conditions could be found."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class BfgsOptions:
     max_iters: int = 200
     grad_tol: float = 1e-6
@@ -55,6 +56,7 @@ class OptimResult:
     f_opt: float
     iterations: int
     trajectory: np.ndarray  # accepted iterates, row 0 is the starting point
+    gradients: np.ndarray  # row i is what the gradient callback gave at trajectory[i]
     # why the run stopped: "grad_tol", "max_iters", "non_finite" or
     # "line_search: <message>"
     reason: str
@@ -199,8 +201,9 @@ def bfgs_minimize(f, grad, x0, opts=None):
     positive definite under noisy finite-difference gradients.  A failed
     line search terminates the run with the best iterate so far and
     converged=False; so does a value or gradient that is not finite at an
-    accepted iterate, the start included (reason "non_finite").  `reason`
-    records which test stopped the run.
+    accepted iterate, the start included (reason "non_finite"), and a
+    gradient so small that even steepest descent has no negative slope.
+    `reason` records which test stopped the run.
     """
     if opts is None:
         opts = BfgsOptions()
@@ -213,15 +216,20 @@ def bfgs_minimize(f, grad, x0, opts=None):
     fx = f(x)
     g = np.asarray(grad(x), dtype=float)
     trajectory = [x.copy()]
+    gradients = [g]
     eye = H = np.eye(n)
     iterations = 0
     reason = _stop_reason(fx, g, opts.grad_tol)
     while reason is None and iterations < opts.max_iters:
         d = -(H @ g)
-        if float(np.dot(g, d)) >= 0.0:
+        if not float(np.dot(g, d)) < 0.0:
             # rounding broke positive definiteness; restart from steepest descent
             H = eye
             d = -g
+            if not float(np.dot(g, d)) < 0.0:
+                # g.g underflowed to 0: no direction has a slope to search along
+                reason = "line_search: d is not a descent direction"
+                break
         try:
             alpha, f_new = line_search(f, x, d, fx, g)
         except LineSearchError as exc:
@@ -230,6 +238,7 @@ def bfgs_minimize(f, grad, x0, opts=None):
         x_new = x + alpha * d
         g_new = np.asarray(grad(x_new), dtype=float)
         trajectory.append(x_new.copy())
+        gradients.append(g_new)
         iterations += 1
         reason = _stop_reason(f_new, g_new, opts.grad_tol)
         if reason is None:
@@ -246,6 +255,7 @@ def bfgs_minimize(f, grad, x0, opts=None):
         f_opt=fx,
         iterations=iterations,
         trajectory=np.array(trajectory),
+        gradients=np.array(gradients),
         reason=reason or "max_iters",
     )
 

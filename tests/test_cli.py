@@ -120,6 +120,14 @@ class TestRotateCommand:
         assert run_cli(["rotate", "--x0", "1.0,1.0", "--angle-step", "0.5",
                         "--out", str(out)]) == 0
 
+    def test_point_starting_with_minus_is_passed_with_equals(self, tmp_path):
+        # the documented form: after a space, argparse takes -0.29,0.4 for an option
+        default, given = tmp_path / "default.csv", tmp_path / "given.csv"
+        assert run_cli(["rotate", "--angle-step", "0.5", "--out", str(default)]) == 0
+        assert run_cli(["rotate", "--x0=-0.29,0.4", "--angle-step", "0.5",
+                        "--out", str(given)]) == 0
+        assert given.read_bytes() == default.read_bytes()
+
     @pytest.mark.parametrize("argv, message", [
         (["rotate", "--x0", "1.0", "--out", "x.csv"],
          "expected a point of shape (2,), got shape (1,)"),
@@ -221,8 +229,11 @@ def test_test_function_is_built_once(argv, tmp_path, monkeypatch):
 ])
 def test_subcommand_help_lists_every_flag(command, flags, capsys):
     assert run_cli([command, "--help"]) == 0
-    listed = re.findall(r"^  (?:-h, )?(--[\w-]+)", capsys.readouterr().out, re.MULTILINE)
+    out = capsys.readouterr().out
+    listed = re.findall(r"^  (?:-h, )?(--[\w-]+)", out, re.MULTILINE)
     assert sorted(listed) == sorted(flags | {"--help"})
+    if command == "rotate":  # the form a point starting with - needs
+        assert "--x0=-0.29,0.4" in out
 
 
 @pytest.mark.parametrize("argv, run", [

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -30,6 +31,25 @@ def wolfe_holds(f, grad, x, d, alpha):
     return armijo and curvature
 
 
+def recording(grad):
+    """grad, keeping (point, returned value) for each call in `.calls`."""
+    def recorded(x):
+        value = grad(x)
+        recorded.calls.append((np.array(x), value))
+        return value
+
+    recorded.calls = []
+    return recorded
+
+
+def assert_gradients_are_the_callbacks(res, calls):
+    """Row i of res.gradients has the bytes the callback returned at trajectory[i]."""
+    assert len(res.gradients) == len(res.trajectory) == len(calls)
+    for row, point, (called_at, value) in zip(res.gradients, res.trajectory, calls):
+        assert called_at.tobytes() == point.tobytes()
+        assert row.tobytes() == np.asarray(value, dtype=float).tobytes()
+
+
 class TestBfgsOptions:
     def test_defaults(self):
         opts = BfgsOptions()
@@ -56,6 +76,9 @@ class TestBfgsOptions:
         [field] = kwargs
         with pytest.raises(ValueError, match=f"^{field} must be"):
             BfgsOptions(**kwargs)
+        # nor can the rule be bypassed after construction
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(BfgsOptions(), field, kwargs[field])
 
 
 class TestLineSearch:
@@ -251,17 +274,11 @@ class TestBfgsMinimize:
         assert res.iterations == len(res.trajectory) - 1
 
     def test_gradient_called_once_per_accepted_iterate(self):
-        calls = []
-
-        def counting_grad(x):
-            calls.append(np.array(x))
-            return rosenbrock2d_grad(x)
-
+        grad = recording(rosenbrock2d_grad)
         f = ObjectiveFn(rosenbrock2d, 2)
-        res = bfgs_minimize(f, counting_grad, np.array([-1.2, 1.0]), BfgsOptions())
-        assert len(calls) == len(res.trajectory)
-        for called, accepted in zip(calls, res.trajectory):
-            np.testing.assert_array_equal(called, accepted)
+        res = bfgs_minimize(f, grad, np.array([-1.2, 1.0]), BfgsOptions())
+        assert res.reason == "grad_tol" and res.iterations > 10
+        assert_gradients_are_the_callbacks(res, grad.calls)
 
     def test_inverse_hessian_stays_positive_definite(self):
         # rebuild the update sequence from the trajectory and verify every
@@ -283,10 +300,11 @@ class TestBfgsMinimize:
     def test_line_search_failure_returns_best_so_far(self):
         a = np.array([1.0, -2.0])
         f = ObjectiveFn(lambda x: float(a @ x), 2)
-        grad = lambda x: a
+        grad = recording(lambda x: a)
         res = bfgs_minimize(f, grad, np.zeros(2), BfgsOptions())
         assert not res.converged
         assert len(res.trajectory) == res.iterations + 1
+        assert_gradients_are_the_callbacks(res, grad.calls)
 
     @pytest.mark.parametrize("x0, at_start", [([-1.2, 1.0], False), ([1.0, 1.0], True)])
     def test_reason_grad_tol(self, x0, at_start):
@@ -311,6 +329,15 @@ class TestBfgsMinimize:
         res = bfgs_minimize(f, lambda x: a, np.zeros(2), BfgsOptions())
         assert not res.converged
         assert res.reason == "line_search: no bracket found after 50 expansions"
+
+    def test_underflowing_slope_stops_the_run(self):
+        # g.g underflows to 0, so even steepest descent has slope -0.0
+        f = ObjectiveFn(lambda x: 1e-300 * float(x @ x), 2)
+        res = bfgs_minimize(f, lambda x: 2e-300 * x, np.array([1e-3, 2e-3]),
+                            BfgsOptions(grad_tol=0.0))
+        assert res.reason == "line_search: d is not a descent direction"
+        assert res.iterations == 0
+        np.testing.assert_array_equal(res.x_opt, [1e-3, 2e-3])
 
     def test_deterministic(self):
         f1 = ObjectiveFn(rosenbrock2d, 2)
@@ -349,23 +376,21 @@ class TestNonFiniteValues:
         return lambda x: bad if x[0] <= 0.5 else rosenbrock2d(x)
 
     def test_non_finite_start_stops_at_once(self):
-        calls = []
-
-        def grad(x):
-            calls.append(x)
-            return rosenbrock2d_grad(x)
-
+        grad = recording(rosenbrock2d_grad)
         f = ObjectiveFn(lambda x: np.nan, 2)
         res = bfgs_minimize(f, grad, np.array([3.0, 1.0]))
         assert res.reason == "non_finite"
         assert not res.converged
         assert res.iterations == 0
-        assert f.eval_count == 1 and len(calls) == 1
+        assert f.eval_count == 1 and len(grad.calls) == 1
+        assert_gradients_are_the_callbacks(res, grad.calls)
 
+        grad = recording(lambda x: np.array([np.inf, 0.0]))
         f = ObjectiveFn(rosenbrock2d, 2)
-        res = bfgs_minimize(f, lambda x: np.array([np.inf, 0.0]), np.array([3.0, 1.0]))
+        res = bfgs_minimize(f, grad, np.array([3.0, 1.0]))
         assert res.reason == "non_finite"
         assert f.eval_count == 1
+        assert_gradients_are_the_callbacks(res, grad.calls)
 
     def test_inf_wall_stops_at_the_wall_without_warnings(self):
         f = ObjectiveFn(self.walled(np.inf), 2)
