@@ -179,15 +179,20 @@ def run_comparison(function, dim, reps=100, seed=0, scheme=FdScheme()):
     return records
 
 
+def _known_method(record):
+    """The record's method; ValueError unless it is one of METHODS."""
+    if record.method not in METHODS:
+        raise ValueError(f"unknown method {record.method!r} in records")
+    return record.method
+
+
 def summarize(records):
     """Average MSE per method over all (rep, iteration) pairs, plus the
     vanilla/smart ratio.  Requires records from both methods.  With a smart
     mean of 0 the ratio is inf, or nan if the vanilla mean is 0 too."""
     mses = {"vanilla": [], "smart": []}
     for r in records:
-        if r.method not in mses:
-            raise ValueError(f"unknown method {r.method!r} in records")
-        mses[r.method].append(r.mse)
+        mses[_known_method(r)].append(r.mse)
     if not mses["vanilla"] or not mses["smart"]:
         raise ValueError("records must contain both methods")
     vanilla = float(np.mean(mses["vanilla"]))
@@ -213,8 +218,9 @@ def mean_mse_by_iteration(records):
     """
     sums = {}
     for r in records:
-        total, count = sums.get((r.method, r.iteration), (0.0, 0))
-        sums[(r.method, r.iteration)] = (total + r.mse, count + 1)
+        key = (_known_method(r), r.iteration)
+        total, count = sums.get(key, (0.0, 0))
+        sums[key] = (total + r.mse, count + 1)
     curves = {method: {} for method in METHODS}
     for (method, iteration), (total, count) in sums.items():
         curves[method][iteration] = total / count

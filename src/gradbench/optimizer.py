@@ -203,7 +203,8 @@ def bfgs_minimize(f, grad, x0, opts=None):
     converged=False; so does a value or gradient that is not finite at an
     accepted iterate, the start included (reason "non_finite"), and a
     gradient so small that even steepest descent has no negative slope.
-    `reason` records which test stopped the run.
+    `reason` records which test stopped the run.  A gradient whose shape is
+    not x0's raises ValueError.
     """
     if opts is None:
         opts = BfgsOptions()
@@ -214,7 +215,7 @@ def bfgs_minimize(f, grad, x0, opts=None):
         raise ValueError("x0 must be finite")
     n = x.size
     fx = f(x)
-    g = np.asarray(grad(x), dtype=float)
+    g = _gradient(grad, x)
     trajectory = [x.copy()]
     gradients = [g]
     eye = H = np.eye(n)
@@ -236,7 +237,7 @@ def bfgs_minimize(f, grad, x0, opts=None):
             reason = f"line_search: {exc}"
             break
         x_new = x + alpha * d
-        g_new = np.asarray(grad(x_new), dtype=float)
+        g_new = _gradient(grad, x_new)
         trajectory.append(x_new.copy())
         gradients.append(g_new)
         iterations += 1
@@ -258,6 +259,16 @@ def bfgs_minimize(f, grad, x0, opts=None):
         gradients=np.array(gradients),
         reason=reason or "max_iters",
     )
+
+
+def _gradient(grad, x):
+    """A copy of grad(x) as floats, so that a callback that returns one
+    buffer it overwrites still gives each iterate its own gradient;
+    ValueError unless it has x's shape."""
+    g = np.array(grad(x), dtype=float)
+    if g.shape != x.shape:
+        raise ValueError(f"grad returned shape {g.shape}, expected x0's shape {x.shape}")
+    return g
 
 
 def _stop_reason(fx, g, grad_tol):

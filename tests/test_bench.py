@@ -220,10 +220,12 @@ class TestSummarize:
         with pytest.raises(ValueError):
             bench.summarize(rows)
 
-    def test_unknown_method_rejected(self):
-        rows = [BenchRecord("f", 2, 0, 0, "exact", 1.0, 1.0)]
-        with pytest.raises(ValueError):
-            bench.summarize(rows)
+    @pytest.mark.parametrize("reduce", [bench.summarize, bench.mean_mse_by_iteration])
+    def test_unknown_method_rejected(self, reduce):
+        rows = [BenchRecord("f", 2, 0, 0, "smart", 1.0, 1.0),
+                BenchRecord("f", 2, 0, 0, "haar", 1.0, 1.0)]
+        with pytest.raises(ValueError, match="^unknown method 'haar' in records$"):
+            reduce(rows)
 
 
 class TestMeanMseByIteration:

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import warnings
 
 import numpy as np
@@ -345,6 +346,38 @@ class TestBfgsMinimize:
         r1 = bfgs_minimize(f1, rosenbrock2d_grad, np.array([-1.2, 1.0]), BfgsOptions())
         r2 = bfgs_minimize(f2, rosenbrock2d_grad, np.array([-1.2, 1.0]), BfgsOptions())
         assert r1.trajectory.tobytes() == r2.trajectory.tobytes()
+
+    # the quadratic 1/2 x.A x, with gradient A x
+    A = np.diag([1.0, 10.0, 100.0])
+
+    def quadratic(self):
+        return ObjectiveFn(lambda x: 0.5 * float(x @ self.A @ x), 3)
+
+    def test_callback_that_reuses_one_buffer(self):
+        # a callback that writes each gradient into one array and returns
+        # it must run as one that returns a new array each time
+        buf = np.empty(3)
+        fresh = bfgs_minimize(self.quadratic(), lambda x: self.A @ x, np.ones(3))
+        reused = bfgs_minimize(self.quadratic(), lambda x: np.dot(self.A, x, out=buf),
+                               np.ones(3))
+        assert fresh.reason == "grad_tol" and fresh.iterations == 3
+        assert reused.trajectory.tobytes() == fresh.trajectory.tobytes()
+        assert reused.gradients.tobytes() == fresh.gradients.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.zeros(4), 0.0, np.ones(4), np.ones((3, 1))],
+                             ids=["zeros4", "scalar", "ones4", "column"])
+    @pytest.mark.parametrize("at_call", [0, 1], ids=["start", "iterate"])
+    def test_gradient_of_the_wrong_shape_rejected(self, bad, at_call):
+        calls = []
+
+        def grad(x):
+            calls.append(x)
+            return bad if len(calls) > at_call else self.A @ x
+
+        with pytest.raises(ValueError, match=re.escape(
+                f"shape {np.shape(bad)}, expected x0's shape (3,)")):
+            bfgs_minimize(self.quadratic(), grad, np.ones(3))
+        assert len(calls) == at_call + 1
 
     def test_non_finite_start_rejected(self):
         f = ObjectiveFn(rosenbrock2d, 2)

@@ -373,6 +373,15 @@ class TestRegistry:
             tf = get_test_function(name, dim)
             assert tf.name == name
             assert tf.dim == dim
+            # the family's public objective and gradient are the module
+            # attributes their names give, batched, and profiles and
+            # tracebacks show those names; the objective is documented
+            public = name.replace("-", "_")
+            for f, f_name in ((tf.fn, public), (tf.grad, public + "_grad")):
+                assert f.__name__ == f.__qualname__ == f.__code__.co_name == f_name
+                assert getattr(testbed, f_name) is f
+                assert f.batched is True
+            assert tf.fn.__doc__
 
     def test_optima_are_stationary(self):
         for name in FUNCTION_NAMES:

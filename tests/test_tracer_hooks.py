@@ -7,7 +7,10 @@ fails here rather than only in a traced benchmark run.
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 from gradbench import bench
+from gradbench.testbed import FUNCTION_NAMES
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -19,19 +22,20 @@ def load_spans():
     return module
 
 
-def test_traced_race_installs_hooks_and_restores_names():
+@pytest.mark.parametrize("name", FUNCTION_NAMES)
+def test_traced_race_installs_hooks_and_restores_names(name):
     spans = load_spans()
     original = bench.run_comparison
     with spans.installed(spans.Tracer()) as tracer:
         assert bench.run_comparison is not original
-        bench.run_comparison("rosenbrock-chained", 3, reps=1, seed=0)
+        bench.run_comparison(name, 2, reps=1, seed=0)
     assert bench.run_comparison is original
     stops = sum(
         tracer.counts[f"optimizer.bfgs_minimize.stop.{reason}"]
         for reason in ("grad_tol", "max_iters", "early")
     )
     assert stops == 2  # one BFGS run per method
-    # the registry hands out the wrapped objective and gradient
+    # the registry hands out the family's wrapped objective and gradient
     calls, _, _ = spans.aggregate(tracer.spans)
     assert calls["testbed.objective"] > 0
     assert calls["testbed.analytic_grad"] > 0
