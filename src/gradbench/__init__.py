@@ -1,5 +1,12 @@
 """Finite-difference gradients and Hessians in bases adapted from the
 history of descent directions, with a BFGS harness and benchmark tooling.
+
+Every matrix and vector product is taken with the ndarray.dot method, not
+the @ operator or np.dot: at the sizes the optimizer works at, a product
+costs numpy's call dispatch more than arithmetic, and .dot calls the same
+BLAS routine for the same bits with less of it.  A squared norm that may
+overflow is np.vdot, which gives those bits too and checks no
+floating-point flags, so an overflow is inf with no warning.
 """
 
 from .direction_history import DirectionHistory, mgs_orthonormalize

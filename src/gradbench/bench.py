@@ -17,6 +17,7 @@ from .finite_difference import (
     FdScheme,
     ObjectiveFn,
     _check_point,
+    _check_scheme,
     _gradient_along_columns,
     _integer,
     _number,
@@ -114,13 +115,6 @@ def _resolve_function(function, dim):
     return get_test_function(function, dim)
 
 
-def _check_scheme(scheme):
-    """scheme; ValueError unless it is an FdScheme."""
-    if not isinstance(scheme, FdScheme):
-        raise ValueError(f"scheme must be an FdScheme, got {scheme!r}")
-    return scheme
-
-
 def _analytic_grads(test_fn, points):
     """The analytic gradient at each row of `points`: one call when the
     gradient is marked batched (as the testbed's are), else one per row."""
@@ -151,7 +145,7 @@ def _recorded_run(test_fn, x0, scheme, method):
     exact = _analytic_grads(test_fn, result.trajectory)
     mses = grad_mse(result.gradients, exact).tolist()
     # one dot per row: a batched sum of squares would add in another order
-    return [(i, mse, math.sqrt(e @ e)) for i, (mse, e) in enumerate(zip(mses, exact))]
+    return [(i, mse, math.sqrt(e.dot(e))) for i, (mse, e) in enumerate(zip(mses, exact))]
 
 
 def run_comparison(function, dim, reps=100, seed=0, scheme=FdScheme()):

@@ -61,8 +61,8 @@ def _push_leading(Q, u):
     ||G^T G - I||_inf bounded over any number of updates; without both it
     grows geometrically.
     """
-    c = Q.T @ u
-    c /= math.sqrt(c @ c)
+    c = Q.T.dot(u)
+    c /= math.sqrt(c.dot(c))
     # np.add.accumulate is np.cumsum without its Python-level dispatch
     s = np.add.accumulate((c * c)[::-1])[::-1]
     sums = s.tolist()
@@ -109,8 +109,7 @@ class DirectionHistory:
         delta = np.asarray(delta_x, dtype=float)
         if delta.shape != (self.dim,):
             raise ValueError(f"expected a difference vector of length {self.dim}")
-        with np.errstate(over="ignore"):
-            norm = math.sqrt(delta @ delta)
+        norm = math.sqrt(np.vdot(delta, delta))  # inf, unwarned, if |delta|^2 overflows
         if norm <= _ZERO_STEP_TOL:
             return self  # no movement, -0.0 included: keep the current basis
         if not norm < math.inf:
@@ -119,7 +118,7 @@ class DirectionHistory:
                 raise ValueError("difference vector must be finite")
             # scaling only this branch keeps every other step's bits
             delta = delta / np.abs(delta).max()
-            norm = math.sqrt(delta @ delta)
+            norm = math.sqrt(np.vdot(delta, delta))
         self.basis = BasisMatrix._adopt(_push_leading(self.basis.matrix, delta / norm))
         self.updates_seen += 1
         return self

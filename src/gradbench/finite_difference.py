@@ -79,6 +79,13 @@ class FdScheme:
         return cls(name, step)
 
 
+def _check_scheme(scheme):
+    """scheme; ValueError unless it is an FdScheme."""
+    if not isinstance(scheme, FdScheme):
+        raise ValueError(f"scheme must be an FdScheme, got {scheme!r}")
+    return scheme
+
+
 class ObjectiveFn:
     """A scalar objective f: R^n -> R with an evaluation counter.
 
@@ -140,7 +147,7 @@ class ObjectiveFn:
 
 def _orthonormality_defect(G):
     """Infinity norm of G^T G - I (max absolute row sum)."""
-    E = G.T @ G
+    E = G.T.dot(G)
     E.reshape(-1)[::E.shape[0] + 1] -= 1.0  # the diagonal, in place
     return float(np.abs(E, out=E).sum(axis=1).max())
 
@@ -274,11 +281,13 @@ def _check_point(f, x, basis=None):
 
 def directional_derivative(f, x, u, scheme=FdScheme()):
     """Finite-difference derivative of f at x along the unit vector u."""
+    _check_scheme(scheme)
     x = _check_point(f, x)
     u = np.asarray(u, dtype=float)
     if u.shape != x.shape:
         raise ValueError("direction must match the dimension of x")
-    if not abs(np.linalg.norm(u) - 1.0) <= _UNIT_NORM_TOL:  # NaN fails too
+    # NaN fails too, and so does inf, an overflowing |u|^2
+    if not abs(math.sqrt(np.vdot(u, u)) - 1.0) <= _UNIT_NORM_TOL:
         raise ValueError("u must be a unit vector")
     return float(_gradient_along_columns(f, x, u[:, None], scheme)[0])
 
@@ -324,6 +333,7 @@ def gradient_in_basis(f, x, basis, scheme=FdScheme()):
     the plain product G @ inner (no linear solve); otherwise the dense
     system G^T y = inner is solved.
     """
+    _check_scheme(scheme)
     x = _check_point(f, x, basis)
     return _gradient_estimate(f, x, basis, scheme)
 
@@ -340,7 +350,7 @@ def _to_canonical(basis, inner):
     inner: basis.matrix @ inner for an orthonormal basis, else the solution
     y of basis.matrix.T @ y = inner."""
     if basis.orthonormal:
-        return basis.matrix @ inner
+        return basis.matrix.dot(inner)
     return np.linalg.solve(basis.matrix.T, inner)
 
 
@@ -401,6 +411,7 @@ def hessian_in_basis(f, x, basis, scheme=FdScheme()):
     n = 100 the traced peak of a call, f's own temporaries included, is
     about 20 MB, 1.27 times the points.
     """
+    _check_scheme(scheme)
     if not basis.orthonormal:
         raise ValueError("hessian_in_basis requires an orthonormal basis")
     x = _check_point(f, x, basis)
@@ -416,6 +427,6 @@ def hessian_in_basis(f, x, basis, scheme=FdScheme()):
     i, j = _lower_pairs(n)
     inner[i, j] = cross
     inner[j, i] = cross
-    transformed = cols @ inner @ cols.T
+    transformed = cols.dot(inner).dot(cols.T)
     values = 0.5 * (transformed + transformed.T)
     return Estimate(values=values, evals_used=f.eval_count - before)

@@ -88,7 +88,7 @@ def line_search(f, x, d, f0, g0):
     if not math.isfinite(f0):
         raise ValueError(f"f0 must be finite, got {f0}")
     d = np.asarray(d, dtype=float)
-    dphi0 = float(np.dot(g0, d))
+    dphi0 = float(d.dot(g0))
     if not dphi0 < 0.0:  # NaN is not a descent slope either
         raise ValueError("d is not a descent direction")
 
@@ -222,12 +222,12 @@ def bfgs_minimize(f, grad, x0, opts=None):
     iterations = 0
     reason = _stop_reason(fx, g, opts.grad_tol)
     while reason is None and iterations < opts.max_iters:
-        d = -(H @ g)
-        if not float(np.dot(g, d)) < 0.0:
+        d = -H.dot(g)
+        if not float(g.dot(d)) < 0.0:
             # rounding broke positive definiteness; restart from steepest descent
             H = eye
             d = -g
-            if not float(np.dot(g, d)) < 0.0:
+            if not float(g.dot(d)) < 0.0:
                 # g.g underflowed to 0: no direction has a slope to search along
                 reason = "line_search: d is not a descent direction"
                 break
@@ -245,11 +245,11 @@ def bfgs_minimize(f, grad, x0, opts=None):
         if reason is None:
             s = x_new - x
             y = g_new - g
-            sy = float(np.dot(s, y))
-            if sy > _CURVATURE_RTOL * math.sqrt(s @ s) * math.sqrt(y @ y):
+            sy = float(s.dot(y))
+            if sy > _CURVATURE_RTOL * math.sqrt(s.dot(s)) * math.sqrt(y.dot(y)):
                 rho = 1.0 / sy
                 V = eye - rho * (s[:, None] * y)
-                H = V @ H @ V.T + rho * (s[:, None] * s)
+                H = V.dot(H).dot(V.T) + rho * (s[:, None] * s)
         x, fx, g = x_new, f_new, g_new
     return OptimResult(
         x_opt=x,

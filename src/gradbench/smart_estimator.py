@@ -9,7 +9,9 @@ coincides exactly with the canonical-basis one.
 """
 
 from .direction_history import DirectionHistory
-from .finite_difference import FdScheme, _check_point, _gradient_estimate, hessian_in_basis
+from .finite_difference import (
+    FdScheme, _check_point, _check_scheme, _gradient_estimate, hessian_in_basis,
+)
 
 
 class SmartEstimator:
@@ -21,7 +23,7 @@ class SmartEstimator:
 
     def __init__(self, objective, scheme=FdScheme()):
         self.objective = objective
-        self.scheme = scheme
+        self.scheme = _check_scheme(scheme)
         self.history = DirectionHistory(objective.dim)
         self.last_x = None
 

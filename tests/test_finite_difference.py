@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import warnings
 from decimal import Decimal
@@ -23,6 +24,7 @@ from gradbench.finite_difference import (
     vanilla_gradient,
 )
 from gradbench.direction_history import mgs_orthonormalize
+from gradbench.smart_estimator import SmartEstimator, wrap
 from gradbench.testbed import (
     get_test_function,
     rosenbrock2d,
@@ -54,6 +56,24 @@ def _family_point(name, dim, seed):
     tf = get_test_function(name, dim)
     rng = np.random.default_rng(seed)
     return tf, tf.optimum + 0.5 * rng.standard_normal(dim), rng
+
+
+@pytest.mark.parametrize("estimate", [
+    lambda f, x, scheme: gradient_in_basis(f, x, BasisMatrix.identity(2), scheme),
+    lambda f, x, scheme: vanilla_gradient(f, x, scheme),
+    lambda f, x, scheme: hessian_in_basis(f, x, BasisMatrix.identity(2), scheme),
+    lambda f, x, scheme: directional_derivative(f, x, np.array([1.0, 0.0]), scheme),
+    lambda f, x, scheme: SmartEstimator(f, scheme).smart_gradient(x),
+    lambda f, x, scheme: wrap(f, scheme)(x),
+], ids=["gradient_in_basis", "vanilla_gradient", "hessian_in_basis",
+        "directional_derivative", "SmartEstimator", "wrap"])
+@pytest.mark.parametrize("scheme", ["central1", None, 1e-3])
+def test_scheme_refused_before_any_evaluation(estimate, scheme):
+    f = ObjectiveFn(rosenbrock2d, 2)
+    message = f"^scheme must be an FdScheme, got {re.escape(repr(scheme))}$"
+    with pytest.raises(ValueError, match=message):
+        estimate(f, X_BANANA, scheme)
+    assert f.eval_count == 0
 
 
 class TestFdScheme:
@@ -361,7 +381,8 @@ class TestDirectionalDerivative:
 
     def test_non_unit_direction_rejected(self):
         f = ObjectiveFn(lambda x: float(x[0]), 2)
-        for u in ([1.0, 1.0], [np.nan, 0.0]):
+        # |u|^2 of the last overflows: refused, not warned about
+        for u in ([1.0, 1.0], [np.nan, 0.0], [1e200, 0.0]):
             with pytest.raises(ValueError, match="unit vector"):
                 directional_derivative(f, np.zeros(2), np.array(u), FdScheme())
         with pytest.raises(ValueError, match="direction must match"):

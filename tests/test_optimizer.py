@@ -110,6 +110,13 @@ class TestLineSearch:
         alpha, _ = line_search(rosenbrock2d, x, d, rosenbrock2d(x), g)
         assert wolfe_holds(rosenbrock2d, rosenbrock2d_grad, x, d, alpha)
 
+    def test_lists_search_like_arrays(self):
+        x = np.array([-1.2, 1.0])
+        g = rosenbrock2d_grad(x)
+        f0 = rosenbrock2d(x)
+        expected = line_search(rosenbrock2d, x, -g, f0, g)
+        assert line_search(rosenbrock2d, x.tolist(), (-g).tolist(), f0, g.tolist()) == expected
+
     def test_non_descent_direction_rejected(self):
         f = lambda x: float(x[0] ** 2)
         with pytest.raises(ValueError):
