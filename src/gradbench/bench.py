@@ -8,6 +8,7 @@ digits, so identical invocations produce byte-identical files.
 
 import csv
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -300,7 +301,8 @@ def read_bench_csv(path):
     Columns are found by their header names, in any order; extra columns
     and blank lines are ignored.  Raises ValueError when a column is missing,
     and, naming the path and line, when a row is too short to hold every
-    column (a file cut off mid-write) or a field is not a number.
+    column (a file cut off mid-write) or a field is not a number.  Equal
+    function and method strings are one object, as run_comparison's are.
     """
     with open(path, newline="") as fh:
         rows = csv.reader(fh)
@@ -311,8 +313,8 @@ def read_bench_csv(path):
         fn, dim, rep, it, method, mse, norm = (index[name] for name in BENCH_CSV_COLUMNS)
         try:
             return [
-                BenchRecord(row[fn], int(row[dim]), int(row[rep]), int(row[it]),
-                            row[method], float(row[mse]), float(row[norm]))
+                BenchRecord(sys.intern(row[fn]), int(row[dim]), int(row[rep]), int(row[it]),
+                            sys.intern(row[method]), float(row[mse]), float(row[norm]))
                 for row in rows
                 if row  # a blank line, as csv.DictReader skips them
             ]

@@ -45,10 +45,10 @@ def _number(value, name):
     return value
 
 
-def _wrong_point(dim, shape):
-    """The error for a point whose shape is not (dim,), from ObjectiveFn
-    and _check_point alike."""
-    return ValueError(f"expected a point of shape ({dim},), got shape {shape}")
+def _wrong_point(dim, shape, what="a point"):
+    """The error for a point (or direction) whose shape is not (dim,), from
+    ObjectiveFn and _check_point alike."""
+    return ValueError(f"expected {what} of shape ({dim},), got shape {shape}")
 
 
 class IllConditionedBasisError(ValueError):
@@ -93,7 +93,8 @@ class ObjectiveFn:
     The counter is plain Python state; counts are exact as long as the
     instance is not shared across concurrent runs.  A callable with the
     attribute `batched = True` also accepts an (m, n) array of points and
-    returns their m values, in blocks (see eval_rows).
+    returns their m values, in blocks (see eval_rows).  A callable may
+    also carry a private line form for _line, as the test functions do.
     """
 
     def __init__(self, fn, dim):
@@ -111,6 +112,23 @@ class ObjectiveFn:
             raise _wrong_point(self.dim, x.shape)
         self.eval_count += 1
         return float(self._fn(x))
+
+    def _line(self, x, d):
+        """phi(t) = f(x + t d) as a Python float, for x and d of shape (dim,)
+        checked once here, counting one evaluation per call: through the
+        callable's _line form if it has one (with f's bits), else f itself."""
+        x, d = np.asarray(x, float), np.asarray(d, float)
+        for v, what in ((x, "a point"), (d, "a direction")):
+            if v.shape != self._shape:
+                raise _wrong_point(self.dim, v.shape, what)
+        line = getattr(self._fn, "_line", None)
+        on_line = line(x, d) if line else lambda t: float(self._fn(x + t * d))
+
+        def phi(t):
+            self.eval_count += 1
+            return on_line(t)
+
+        return phi
 
     def eval_rows(self, X):
         """f at each row of the (m, dim) matrix X, as a length-m array.

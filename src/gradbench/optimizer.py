@@ -6,9 +6,9 @@ search works from function values alone, checking the curvature condition
 with one-dimensional central differences along the search ray.  This keeps
 stateful gradient callbacks fed with genuine accepted steps, and the run
 returns what the callback gave at each iterate beside the iterate itself.
-The two points of each such difference go to the objective as two lone
-points, like a trial step: a test-function family sums a lone point in
-Python floats, which costs less than a batch of two in numpy.
+Like a trial step, each such difference's two points are evaluated one by
+one: given an ObjectiveFn, on the search's ray through ObjectiveFn._line,
+where a test function sums them in Python floats (see testbed).
 
 The line-search constants are fixed at the standard quasi-Newton values
 (Nocedal & Wright, *Numerical Optimization*, 2nd ed., section 3.1):
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .finite_difference import _integer, _number
+from .finite_difference import ObjectiveFn, _integer, _number
 
 WOLFE_C1 = 1e-4
 WOLFE_C2 = 0.9
@@ -73,27 +73,29 @@ def line_search(f, x, d, f0, g0):
     with safeguarded quadratic interpolation.  The curvature condition is
     checked with central differences of a -> f(x + a d), whose two points
     are evaluated one after the other; g0 is the gradient at x and gives
-    the slope at a = 0.  f is called as given, once per point: pass an
-    ObjectiveFn to have the points checked and counted.
+    the slope at a = 0.  An ObjectiveFn checks x and d once and counts
+    each point (see ObjectiveFn._line); any other f is called as given at
+    x + a d, once per point.
 
     A trial step whose value is not finite (NaN or +-inf) fails the
     sufficient-decrease condition, so the search shrinks the step away
     from it.
 
     Returns (alpha, f(x + alpha d)).  Raises ValueError, before any
-    evaluation, when f0 is not finite or d is not a descent direction, and
-    LineSearchError when no acceptable step exists within the iteration
-    budget.
+    evaluation, when f0 is not finite, d or g0 has not x's shape or d is
+    not a descent direction, and LineSearchError when no acceptable step
+    exists within the iteration budget.
     """
     if not math.isfinite(f0):
         raise ValueError(f"f0 must be finite, got {f0}")
-    d = np.asarray(d, dtype=float)
+    x, d, g0 = (np.asarray(v, dtype=float) for v in (x, d, g0))
+    for name, v in (("d", d), ("g0", g0)):
+        if v.shape != x.shape:
+            raise ValueError(f"{name} must have x's shape {x.shape}, got {v.shape}")
     dphi0 = float(d.dot(g0))
     if not dphi0 < 0.0:  # NaN is not a descent slope either
         raise ValueError("d is not a descent direction")
-
-    def phi(a):
-        return f(x + a * d)
+    phi = f._line(x, d) if isinstance(f, ObjectiveFn) else lambda a: f(x + a * d)
 
     def dphi(a):
         step = _CURVATURE_FD_STEP * max(1.0, abs(a))

@@ -28,23 +28,25 @@ the exact sum (Higham, *Accuracy and Stability of Numerical Algorithms*,
 2nd ed., section 4.2), far below the truncation error of the stencils that
 use these values.  The kernels never write into their argument.
 
-Every family takes a finite lone point's value and analytic gradient (a
-1-D argument) in Python floats, with the array path's operations in its
-order, so both have the bits of a batch row.  A value adds its terms first
-to last from a running sum that starts at 0.0, which adds exactly: each
-term is a sum of two squares, so never -0.0.  A chained gradient entry is
+Every family's objective carries a private line form, _line(x, d), which
+ObjectiveFn._line uses for the BFGS line search's points x + t d: given
+1-D float x and d it checks x's last axis once and returns phi(t), the
+value at x + t d as a Python float.  phi forms each pair's coordinates as
+x_i + t * d_i, the two roundings of numpy's x + t * d, applies the array
+path's operations in its order and adds the terms first to last from a
+running sum that starts at 0.0, which adds exactly: each term is a sum of
+two squares, so never -0.0.  A lone point's analytic gradient (a 1-D
+argument) is taken in Python floats the same way; a chained entry is
 (0.0 + da[k]) + db[k - 1], as the array path adds the two partials into
-zeros.  Each numpy ufunc call costs about a microsecond of dispatch, more
-than a lone point's arithmetic.  The BFGS line search sends its trial
-steps and curvature probes as lone points, and a reference Hessian built
-from central differences of the analytic gradient takes 2n lone gradients.
-A lone gradient took 2.1 us for rosenbrock-chained at n = 5 and 7.8 us for
-freudenstein-roth at n = 26, against 7.6 and 17.6 us on the array path
-(medians of 15 interleaved timeit rounds; 2 vCPU, Python 3.11, numpy 2.4).
-A point whose value or gradient is not finite goes on to the array path,
-so it keeps numpy's RuntimeWarnings and np.errstate.  A NaN value and its
-batch row's are NaN together but may differ in sign, as numpy's add loops
-do not all return the same one of two NaN operands.
+zeros.  A numpy ufunc call costs about a microsecond of dispatch, more
+than a point's arithmetic: a point on a line took 0.7 us (rosenbrock-
+chained, n = 5) and 2.9 us (freudenstein-roth, n = 26), against 2.8 and
+4.9 us as ObjectiveFn(x + t * d); a lone gradient 2.1 and 7.8 us, against
+7.6 and 17.6 us on the array path (2 vCPU, Python 3.11, numpy 2.4).  A
+lone value, and a point on a line or a lone gradient that is not finite,
+take the array path, which keeps numpy's RuntimeWarnings and np.errstate.
+A NaN value and its batch row's are NaN together but may differ in sign,
+as numpy's add loops do not all return the same one of two NaN operands.
 """
 
 import math
@@ -98,9 +100,9 @@ def _sum_terms(t):
     Gives ((t[0] + t[1]) + t[2]) + ... for every point.  A reduce over the
     leading axis of a C-contiguous batch adds whole rows one after another;
     for one point, numpy would sum the k contiguous terms pairwise instead,
-    so that goes through accumulate, which is sequential by definition.
-    One point here is a (1, n) batch or a lone point whose value is not
-    finite; a finite lone point never gets here (see the module docstring).
+    so that goes through accumulate, which is sequential by definition:
+    a lone point, a (1, n) batch or the point of a line form whose sum is
+    not finite (see the module docstring).
     """
     if t.size == t.shape[0]:
         return np.add.accumulate(t, axis=0)[-1]
@@ -112,15 +114,6 @@ def _rosenbrock(x, step):
     (a, b) = (x[i], x[i + 1]), i = 0, step, 2 step, ... of x's last axis:
     (x0, x1), (x2, x3), ... at step 2, (x0, x1), (x1, x2), ... at step 1.
     x is a float array whose last axis the caller has checked."""
-    if x.ndim == 1:
-        v = x.tolist()
-        total = 0.0
-        for a, b in zip(v[::step], v[1::step]):
-            t = b - a * a
-            u = 1.0 - a
-            total += t * t * 100.0 + u * u
-        if math.isfinite(total):
-            return np.float64(total)
     if step == 1:
         # a and b overlap in one copy: b is read before a is written
         xt = _term_major(x)
@@ -135,6 +128,25 @@ def _rosenbrock(x, step):
     np.square(a, out=a)
     t += a
     return _sum_terms(t)
+
+
+def _rosenbrock_line(x, d, step):
+    """phi(t) = _rosenbrock(x + t d, step) as a Python float, for 1-D x and
+    d: see the module docstring."""
+    xs, ds = x.tolist(), d.tolist()
+    pairs = list(zip(xs[0::step], ds[0::step], xs[1::step], ds[1::step]))
+
+    def phi(t):
+        total = 0.0
+        for xa, da, xb, db in pairs:
+            a = xa + t * da
+            b = xb + t * db
+            s = b - a * a
+            u = 1.0 - a
+            total += s * s * 100.0 + u * u
+        return total if math.isfinite(total) else float(_rosenbrock(x + t * d, step))
+
+    return phi
 
 
 def _rosenbrock_grad(x, step):
@@ -179,15 +191,6 @@ def _freudenstein_roth(x, _):
     (-29 + a + b (b (b + 1) - 14))^2 over the pairs (a, b) = (x0, x1),
     (x2, x3), ...; this family has no fixed argument, so its kernels ignore
     their second."""
-    if x.ndim == 1:
-        v = x.tolist()
-        total = 0.0
-        for a, b in zip(v[0::2], v[1::2]):
-            r1 = -13.0 + a + ((5.0 - b) * b - 2.0) * b
-            r2 = -29.0 + a + ((b + 1.0) * b - 14.0) * b
-            total += r1 * r1 + r2 * r2
-        if math.isfinite(total):
-            return np.float64(total)
     a, b = _term_major(x[..., 0::2]), _term_major(x[..., 1::2])
     t = np.subtract(5.0, b)
     t *= b
@@ -205,6 +208,25 @@ def _freudenstein_roth(x, _):
     np.square(r2, out=r2)
     r1 += r2
     return _sum_terms(r1)
+
+
+def _freudenstein_roth_line(x, d, _):
+    """phi(t) = _freudenstein_roth(x + t d) as a Python float, for 1-D x
+    and d: see the module docstring."""
+    xs, ds = x.tolist(), d.tolist()
+    pairs = list(zip(xs[0::2], ds[0::2], xs[1::2], ds[1::2]))
+
+    def phi(t):
+        total = 0.0
+        for xa, da, xb, db in pairs:
+            a = xa + t * da
+            b = xb + t * db
+            r1 = -13.0 + a + ((5.0 - b) * b - 2.0) * b
+            r2 = -29.0 + a + ((b + 1.0) * b - 14.0) * b
+            total += r1 * r1 + r2 * r2
+        return total if math.isfinite(total) else float(_freudenstein_roth(x + t * d, None))
+
+    return phi
 
 
 def _freudenstein_roth_grad(x, _):
@@ -233,16 +255,21 @@ def _freudenstein_roth_grad(x, _):
     return g
 
 
-def _family(name, kernel, kernel_grad, arg, doc):
+def _family(name, kernel, kernel_grad, kernel_line, arg, doc):
     """The family's public objective and gradient, rosenbrock_chained and
     rosenbrock_chained_grad for rosenbrock-chained: each converts x, checks
     its last axis by the family's rule and calls its kernel with arg, passed
-    by position (*args or functools.partial add 0.3-0.4 us to a 2 us call)."""
+    by position (*args or functools.partial add 0.3-0.4 us to a 2 us call).
+    The objective's _line(x, d) checks x once and returns its line form."""
 
     def fn(x):
         x = np.asarray(x, float)
         _check_dim(x.shape, name)
         return kernel(x, arg)
+
+    def line(x, d):
+        _check_dim(x.shape, name)
+        return kernel_line(x, d, arg)
 
     def grad(x):
         x = np.asarray(x, float)
@@ -256,20 +283,22 @@ def _family(name, kernel, kernel_grad, arg, doc):
         f.__code__ = f.__code__.replace(co_name=f_name)
         f.batched = True
     fn.__doc__ = doc
+    fn._line = line
     return fn, grad
 
 
 rosenbrock2d, rosenbrock2d_grad = _family(
-    "rosenbrock2d", _rosenbrock, _rosenbrock_grad, 2,
+    "rosenbrock2d", _rosenbrock, _rosenbrock_grad, _rosenbrock_line, 2,
     "Banana-valley function on R^2, rosenbrock-pairwise at n = 2; minimum 0 at (1, 1).")
 rosenbrock_pairwise, rosenbrock_pairwise_grad = _family(
-    "rosenbrock-pairwise", _rosenbrock, _rosenbrock_grad, 2,
+    "rosenbrock-pairwise", _rosenbrock, _rosenbrock_grad, _rosenbrock_line, 2,
     "Sum of independent two-variable banana terms; even dimension only.")
 rosenbrock_chained, rosenbrock_chained_grad = _family(
-    "rosenbrock-chained", _rosenbrock, _rosenbrock_grad, 1,
+    "rosenbrock-chained", _rosenbrock, _rosenbrock_grad, _rosenbrock_line, 1,
     "Banana chain coupling consecutive coordinates; any dimension >= 2.")
 freudenstein_roth, freudenstein_roth_grad = _family(
-    "freudenstein-roth", _freudenstein_roth, _freudenstein_roth_grad, None,
+    "freudenstein-roth", _freudenstein_roth, _freudenstein_roth_grad,
+    _freudenstein_roth_line, None,
     "Paired squared-residual sums; minimum 0 at (5, 4, 5, 4, ...).")
 
 

@@ -6,9 +6,9 @@ import pytest
 from oracle import reference_rotation_scan
 from scipy import stats
 
-from gradbench import bench
+from gradbench import bench, testbed
 from gradbench.bench import BenchRecord
-from gradbench.finite_difference import FdScheme, ObjectiveFn, vanilla_gradient
+from gradbench.finite_difference import SCHEME_NAMES, FdScheme, ObjectiveFn, vanilla_gradient
 from gradbench.optimizer import bfgs_minimize
 from gradbench.smart_estimator import wrap
 from gradbench.testbed import (
@@ -53,6 +53,51 @@ def test_scheme_refused_before_any_evaluation(objectives, run, scheme):
     with pytest.raises(ValueError, match=f"^scheme must be an FdScheme, got {scheme!r}$"):
         run(scheme)
     assert sum(objective.eval_count for objective in objectives) == 0
+
+
+def hiding_the_line_form(fn):
+    """fn as a batched callable without its line form, so that the line
+    search evaluates each point as ObjectiveFn(x + t * d)."""
+    def hidden(x):
+        return fn(x)
+
+    hidden.batched = True
+    return hidden
+
+
+class TestLineFormEquivalence:
+    """Runs give the same bits whether the line search sums its points on
+    their line in Python floats or as numpy arrays.  Both sides run here,
+    on one CPU, so this holds whatever BLAS kernel that CPU takes."""
+
+    CELLS = [("rosenbrock-chained", 5), ("rosenbrock-pairwise", 4), ("freudenstein-roth", 4)]
+
+    @pytest.mark.parametrize("scheme", SCHEME_NAMES)
+    @pytest.mark.parametrize("name, dim", CELLS)
+    def test_runs_and_records_are_equal(self, objectives, monkeypatch, name, dim, scheme):
+        scheme = FdScheme(scheme)
+        tf = get_test_function(name, dim)
+        hidden = dataclasses.replace(tf, fn=hiding_the_line_form(tf.fn))
+        assert hasattr(tf.fn, "_line") and not hasattr(hidden.fn, "_line")
+        for rep in range(3):
+            x0 = bench._draw_start(0, rep, dim)
+            for method in bench.METHODS:
+                runs = [bench._bfgs_run(t, x0, scheme, method)[0] for t in (tf, hidden)]
+                assert runs[0].iterations > 0
+                for field in ("trajectory", "gradients"):
+                    assert getattr(runs[0], field).tobytes() == getattr(runs[1], field).tobytes()
+                assert (runs[0].reason, runs[0].f_opt) == (runs[1].reason, runs[1].f_opt)
+                assert objectives[-2].eval_count == objectives[-1].eval_count
+        races = []
+        for hide in (False, True):
+            if hide:
+                public = name.replace("-", "_")
+                monkeypatch.setattr(testbed, public, hiding_the_line_form(getattr(testbed, public)))
+            start = len(objectives)
+            races.append(bench.run_comparison(name, dim, reps=3, seed=0, scheme=scheme))
+            races.append([objective.eval_count for objective in objectives[start:]])
+        assert races[0] == races[2]
+        assert races[1] == races[3]
 
 
 class TestRunComparison:
@@ -334,6 +379,17 @@ class TestCsvIO:
         path = tmp_path / "bench.csv"
         bench.write_bench_csv(records, path)
         assert bench.read_bench_csv(path) == records
+
+    def test_records_read_back_share_their_strings(self, tmp_path):
+        # one string object per distinct function and method, not one per row
+        records = bench.run_comparison("rosenbrock-chained", 3, reps=2, seed=4)
+        path = tmp_path / "bench.csv"
+        bench.write_bench_csv(records, path)
+        back = bench.read_bench_csv(path)
+        assert back == records
+        for field in ("function", "method"):
+            values = [getattr(r, field) for r in back]
+            assert len({id(v) for v in values}) == len(set(values))
 
     def test_columns_in_any_order(self, tmp_path):
         records = bench.run_comparison("rosenbrock-chained", 3, reps=1, seed=4)

@@ -133,6 +133,43 @@ class TestObjectiveFn:
         assert str(refused.value) == f"expected a point of shape (5,), got shape {shape}"
         assert f.eval_count == 0
 
+    @pytest.mark.parametrize("batched", [False, True], ids=["plain", "user-batched"])
+    def test_line_without_a_line_form_evaluates_its_points(self, batched):
+        # a callable without a line form gets each point x + t * d as a
+        # lone evaluation would, and each phi(t) counts one evaluation
+        calls = []
+
+        def fn(z):
+            calls.append(np.array(z))
+            return np.sum(z * z, axis=-1) if batched else float(z @ z)
+
+        fn.batched = batched
+        x, d = np.array([0.5, -0.0, 2.0]), np.array([-1.0, 0.25, 3.0])
+        steps = (0.0, 1e-5, -1e-5, 1.0, 2.0 ** 10)
+        expected = [float(fn(x + t * d)) for t in steps]
+        points, calls[:] = calls[:], []
+        f = ObjectiveFn(fn, 3)
+        phi = f._line(x.tolist(), d)
+        for count, (t, value) in enumerate(zip(steps, expected), 1):
+            result = phi(t)
+            assert type(result) is float and result == value
+            assert f.eval_count == count
+        assert [c.tobytes() for c in calls] == [p.tobytes() for p in points]
+
+    @pytest.mark.parametrize("fn", [rosenbrock_chained, lambda z: 0.0], ids=["family", "plain"])
+    @pytest.mark.parametrize("x_shape, d_shape, message", [
+        ((4,), (5,), "expected a point of shape (5,), got shape (4,)"),
+        ((1, 5), (5,), "expected a point of shape (5,), got shape (1, 5)"),
+        ((5,), (6,), "expected a direction of shape (5,), got shape (6,)"),
+        ((5,), (5, 1), "expected a direction of shape (5,), got shape (5, 1)"),
+    ])
+    def test_a_line_of_the_wrong_shape_is_refused_uncounted(self, fn, x_shape, d_shape, message):
+        f = ObjectiveFn(fn, 5)
+        with pytest.raises(ValueError) as refused:
+            f._line(np.zeros(x_shape), np.ones(d_shape))
+        assert str(refused.value) == message
+        assert f.eval_count == 0
+
     def test_rejects_nonpositive_dim(self):
         with pytest.raises(ValueError):
             ObjectiveFn(lambda x: 0.0, 0)

@@ -144,6 +144,25 @@ class TestLineSearch:
             line_search(f, x, -g, f0, g)
         assert f.eval_count == 0
 
+    @pytest.mark.parametrize("d_shape, g0_shape, name, shape", [
+        # d and g0 of one entry used to broadcast: the search ran along
+        # (d0, ..., d0), spent 48 evaluations and ended on "zoom interval
+        # collapsed"; a column g0 raised TypeError
+        ((1,), (1,), "d", (1,)),
+        ((5,), (5, 1), "g0", (5, 1)),
+        ((5,), (1,), "g0", (1,)),
+        ((5, 1), (5,), "d", (5, 1)),
+    ])
+    def test_direction_and_gradient_of_another_shape_rejected_before_any_evaluation(
+            self, d_shape, g0_shape, name, shape):
+        f = ObjectiveFn(rosenbrock_chained, 5)
+        x = np.array([0.5, 0.2, -0.1, 0.3, 0.9])
+        g = get_test_function("rosenbrock-chained", 5).grad(x)
+        d, g0 = -g[:d_shape[0]].reshape(d_shape), g[:g0_shape[0]].reshape(g0_shape)
+        with pytest.raises(ValueError, match=re.escape(f"{name} must have x's shape (5,), got {shape}")):
+            line_search(f, x, d, rosenbrock_chained(x), g0)
+        assert f.eval_count == 0
+
     def test_unbounded_descent_fails(self):
         f = lambda x: float(x[0])
         with pytest.raises(LineSearchError):
@@ -153,9 +172,9 @@ class TestLineSearch:
         "name, dim", [("rosenbrock-chained", 25), ("freudenstein-roth", 26)]
     )
     def test_batched_and_row_by_row_objectives_agree_bitwise(self, name, dim):
-        # The curvature probe's two points go to every objective as two lone
-        # calls; a batched objective sums a lone point in Python floats,
-        # unbatched and plain callables call the kernel on it as it stands.
+        # An ObjectiveFn of a test function sums the search's points on
+        # their line in Python floats; a wrapper without the line form is
+        # called at x + a * d, and so is a plain callable.
         tf = get_test_function(name, dim)
         rng = np.random.default_rng(7)
         for _ in range(20):

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradbench import testbed
+from gradbench.finite_difference import ObjectiveFn
 from gradbench.testbed import (
     FUNCTION_NAMES,
     get_test_function,
@@ -249,7 +251,7 @@ class TestCoordinateOrderSum:
         assert testbed.rosenbrock_pairwise(np.stack([x, x, x])).tolist() == [1.0] * 3
 
 
-# every family takes a lone point's value and gradient in Python floats
+# every family takes a lone point's gradient in Python floats
 LONE_POINT_FAMILIES = FUNCTION_NAMES
 
 
@@ -272,8 +274,8 @@ def value_and_warned(f, x):
 
 
 class TestLonePoints:
-    """A lone point's value and gradient are taken in Python floats, with
-    the array path's bits."""
+    """A lone point's value is taken on the array path and its gradient in
+    Python floats, both with a batch row's bits."""
 
     @PROPERTY_SETTINGS
     @given(lone_points())
@@ -312,16 +314,18 @@ class TestLonePoints:
             assert fn(x[None]).tolist() == [29886.385215859038]
 
     @pytest.mark.parametrize("name", LONE_POINT_FAMILIES)
-    def test_finite_lone_point_never_takes_the_array_path(self, name, monkeypatch):
+    def test_finite_point_on_a_line_never_takes_the_array_path(self, name, monkeypatch):
         def array_path(s):
             raise AssertionError("the array path was taken")
 
         monkeypatch.setattr(testbed, "_term_major", array_path)
         tf = get_test_function(name, largest_dim(name, 10))
-        x = tf.optimum + np.random.default_rng(3).standard_normal(tf.dim)
-        assert np.isfinite(tf.fn(x))
+        rng = np.random.default_rng(3)
+        x = tf.optimum + rng.standard_normal(tf.dim)
+        phi = ObjectiveFn(tf.fn, tf.dim)._line(x, rng.standard_normal(tf.dim))
+        assert all(math.isfinite(phi(t)) for t in (0.0, 1e-5, 0.5, 2.0))
         with pytest.raises(AssertionError, match="array path"):
-            tf.fn(x[None])
+            tf.fn(x)
 
     @pytest.mark.parametrize("name", LONE_POINT_FAMILIES)
     def test_finite_lone_gradient_never_takes_the_array_path(self, name, monkeypatch):
@@ -349,6 +353,78 @@ class TestLonePoints:
             assert g.tobytes() == row.tobytes()
         with pytest.raises(AssertionError, match="array path"):
             tf.grad(X[:1])
+
+
+# 0 of either sign, the curvature probe's offsets, the unit step, powers of
+# two the search doubles or halves to, and steps at which the sum (2^600)
+# or t * d itself (2^1023) overflows
+LINE_STEPS = (0.0, -0.0, 1e-5, -1e-5, 1.0, 2.0 ** -30, 0.375, 8.0, 2.0 ** 40,
+              2.0 ** 600, 2.0 ** 1023)
+LINE_CELLS = [(name, n) for name in FUNCTION_NAMES
+              for n in accepted_dims(name, 10) if n in (2, 3, 5, 6, 10)]
+
+
+def line_and_array_values(tf, x, d, steps):
+    """For each t: ObjectiveFn._line(x, d)(t) and ObjectiveFn(x + t * d),
+    each with whether it gave a RuntimeWarning; checks that each line call
+    counts one evaluation."""
+    f = ObjectiveFn(tf.fn, tf.dim)
+    phi = f._line(x, d)
+    pairs = []
+    for t in steps:
+        before = f.eval_count
+        on_line = value_and_warned(phi, t)
+        assert f.eval_count == before + 1
+        assert type(on_line[0]) is float
+        pairs.append((on_line, value_and_warned(lambda t: f(x + t * d), t)))
+    return pairs
+
+
+def same_value(a, b):
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+class TestLineForm:
+    """A point on a line, ObjectiveFn._line(x, d)(t), has the bits and the
+    warnings of the same point evaluated as ObjectiveFn(x + t * d)."""
+
+    @pytest.mark.parametrize("name, n", LINE_CELLS)
+    def test_points_on_a_line_have_the_array_bits(self, name, n):
+        tf = get_test_function(name, n)
+        rng = np.random.default_rng(n)
+        d = rng.standard_normal(n)
+        d[::3] = -0.0
+        lines = [
+            (tf.optimum + rng.standard_normal(n), d),
+            (np.full(n, -0.0), d),
+            (tf.optimum, -np.sign(d) - 0.0),
+        ]
+        for x, d in lines:
+            pairs = line_and_array_values(tf, x, d, LINE_STEPS)
+            for t, ((value, warned), (expected, expected_warned)) in zip(LINE_STEPS, pairs):
+                assert same_value(value, expected), (x, d, t)
+                assert warned == expected_warned == (not math.isfinite(value))
+            assert not math.isfinite(pairs[-2][0][0])  # 2^600 overflows
+
+    @PROPERTY_SETTINGS
+    @given(lone_points(), st.integers(0, 2**32 - 1), st.floats(-60.0, 60.0))
+    def test_random_lines_have_the_array_bits(self, case, seed, log2_t):
+        name, x = case
+        d = np.random.default_rng(seed).standard_normal(x.size)
+        steps = (2.0 ** log2_t, -(2.0 ** log2_t), 2.0 ** round(log2_t))
+        pairs = line_and_array_values(get_test_function(name, x.size), x, d, steps)
+        for (value, warned), (expected, expected_warned) in pairs:
+            assert warned == expected_warned
+            # a NaN value is taken on the array path both ways, sign included
+            assert same_value(value, expected)
+
+    def test_dimension_rule_is_checked_once_per_line(self, monkeypatch):
+        checked = []
+        check_dim = testbed._check_dim
+        monkeypatch.setattr(testbed, "_check_dim", lambda *a: checked.append(a) or check_dim(*a))
+        phi = ObjectiveFn(testbed.rosenbrock_chained, 3)._line(np.ones(3), np.ones(3))
+        assert [phi(t) for t in (0.0, 1.0, 2.0)] == [0.0, 802.0, 7208.0]
+        assert checked == [((3,), "rosenbrock-chained")]
 
 
 class TestGradMse:
