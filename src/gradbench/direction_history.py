@@ -106,7 +106,7 @@ class DirectionHistory:
         self.updates_seen = 0
 
     def update(self, delta_x):
-        delta = np.asarray(delta_x, dtype=float)
+        delta = np.asarray(delta_x, float)
         if delta.shape != (self.dim,):
             raise ValueError(f"expected a difference vector of length {self.dim}")
         norm = math.sqrt(np.vdot(delta, delta))  # inf, unwarned, if |delta|^2 overflows

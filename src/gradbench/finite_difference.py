@@ -118,9 +118,10 @@ class ObjectiveFn:
         checked once here, counting one evaluation per call: through the
         callable's _line form if it has one (with f's bits), else f itself."""
         x, d = np.asarray(x, float), np.asarray(d, float)
-        for v, what in ((x, "a point"), (d, "a direction")):
-            if v.shape != self._shape:
-                raise _wrong_point(self.dim, v.shape, what)
+        if x.shape != self._shape:
+            raise _wrong_point(self.dim, x.shape)
+        if d.shape != self._shape:
+            raise _wrong_point(self.dim, d.shape, "a direction")
         line = getattr(self._fn, "_line", None)
         on_line = line(x, d) if line else lambda t: float(self._fn(x + t * d))
 
@@ -131,7 +132,7 @@ class ObjectiveFn:
         return phi
 
     def eval_rows(self, X):
-        """f at each row of the (m, dim) matrix X, as a length-m array.
+        """f at each row of the (m, dim) matrix X, as a fresh length-m array.
 
         Counts m evaluations.  A batched callable gets the rows in
         C-contiguous blocks of consecutive rows, one call per block, each
@@ -144,13 +145,18 @@ class ObjectiveFn:
         differ: numpy's add loops do not all return the same one of two NaN
         operands.  Any other callable is called row by row.
         """
-        X = np.ascontiguousarray(X, dtype=float)
+        X = np.ascontiguousarray(X, float)
         if X.ndim != 2 or X.shape[1] != self.dim:
             raise ValueError(f"expected an (m, {self.dim}) matrix, got shape {X.shape}")
         if not self._batched:
             return np.array([self(row) for row in X])
         m = X.shape[0]
         self.eval_count += m
+        if m <= self._block_rows:
+            values = np.array(self._fn(X), float)
+            if values.shape != (m,):
+                raise ValueError(f"batched objective returned shape {values.shape} for {m} points")
+            return values
         values = np.empty(m)
         for start in range(0, m, self._block_rows):
             block = X[start:start + self._block_rows]
@@ -260,10 +266,14 @@ class BasisMatrix:
         return self.matrix.shape[0]
 
     @classmethod
-    @functools.lru_cache(maxsize=16)
     def identity(cls, n):
-        """The n x n identity basis.  Built once per n and shared (it is
-        read-only); the 16 most recently used dimensions are kept."""
+        """The n x n identity basis, built once per integer n >= 1 (else
+        ValueError) and shared read-only; the 16 most recent n are kept."""
+        return cls._identity(_integer(n, "n"))
+
+    @classmethod
+    @functools.lru_cache(maxsize=16)
+    def _identity(cls, n):  # identity(n) for a checked n
         return cls(np.eye(n))
 
     @classmethod
@@ -287,10 +297,10 @@ class Estimate:
 def _check_point(f, x, basis=None):
     """x as a float array; ValueError unless it is a finite point of f's
     dimension and `basis`, when given, has that dimension too."""
-    x = np.asarray(x, dtype=float)
+    x = np.asarray(x, float)
     if x.shape != (f.dim,):
         raise _wrong_point(f.dim, x.shape)
-    if not np.isfinite(x).all():
+    if not np.logical_and.reduce(np.isfinite(x)):  # .all() without its Python wrapper
         raise ValueError("x must be finite")
     if basis is not None and basis.dim != f.dim:
         raise ValueError("basis dimension does not match the objective")
@@ -374,7 +384,7 @@ def _to_canonical(basis, inner):
 
 def vanilla_gradient(f, x, scheme=FdScheme()):
     """Gradient estimate along the canonical axes (identity basis)."""
-    return gradient_in_basis(f, x, BasisMatrix.identity(f.dim), scheme)
+    return gradient_in_basis(f, x, BasisMatrix._identity(f.dim), scheme)
 
 
 @functools.lru_cache(maxsize=16)

@@ -88,10 +88,11 @@ def line_search(f, x, d, f0, g0):
     """
     if not math.isfinite(f0):
         raise ValueError(f"f0 must be finite, got {f0}")
-    x, d, g0 = (np.asarray(v, dtype=float) for v in (x, d, g0))
-    for name, v in (("d", d), ("g0", g0)):
-        if v.shape != x.shape:
-            raise ValueError(f"{name} must have x's shape {x.shape}, got {v.shape}")
+    x, d, g0 = np.asarray(x, float), np.asarray(d, float), np.asarray(g0, float)
+    if d.shape != x.shape:
+        raise ValueError(f"d must have x's shape {x.shape}, got {d.shape}")
+    if g0.shape != x.shape:
+        raise ValueError(f"g0 must have x's shape {x.shape}, got {g0.shape}")
     dphi0 = float(d.dot(g0))
     if not dphi0 < 0.0:  # NaN is not a descent slope either
         raise ValueError("d is not a descent direction")
@@ -206,10 +207,13 @@ def bfgs_minimize(f, grad, x0, opts=None):
     accepted iterate, the start included (reason "non_finite"), and a
     gradient so small that even steepest descent has no negative slope.
     `reason` records which test stopped the run.  A gradient whose shape is
-    not x0's raises ValueError.
+    not x0's raises ValueError, and so does, before any evaluation, an opts
+    that is neither None nor a BfgsOptions.
     """
     if opts is None:
         opts = BfgsOptions()
+    elif not isinstance(opts, BfgsOptions):
+        raise ValueError(f"opts must be a BfgsOptions or None, got {opts!r}")
     x = np.array(x0, dtype=float)
     if x.ndim != 1 or x.size < 1:
         raise ValueError(f"x0 must be a non-empty vector, got shape {x.shape}")
@@ -267,7 +271,7 @@ def _gradient(grad, x):
     """A copy of grad(x) as floats, so that a callback that returns one
     buffer it overwrites still gives each iterate its own gradient;
     ValueError unless it has x's shape."""
-    g = np.array(grad(x), dtype=float)
+    g = np.array(grad(x), float)
     if g.shape != x.shape:
         raise ValueError(f"grad returned shape {g.shape}, expected x0's shape {x.shape}")
     return g
@@ -276,7 +280,7 @@ def _gradient(grad, x):
 def _stop_reason(fx, g, grad_tol):
     """Why the run must stop at an iterate with value fx and gradient g:
     "non_finite", "grad_tol", or None to go on."""
-    g_max = float(np.abs(g).max())
+    g_max = float(np.maximum.reduce(np.abs(g)))  # g.max() without its Python wrapper
     if not (math.isfinite(fx) and math.isfinite(g_max)):
         return "non_finite"
     return "grad_tol" if g_max <= grad_tol else None

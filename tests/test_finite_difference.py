@@ -272,12 +272,70 @@ class TestObjectiveFn:
             f.eval_rows(np.zeros((_BLOCK_BYTES // 24 + 1, 3)))
         assert calls == [_BLOCK_BYTES // 24, 1]
 
-    @pytest.mark.parametrize("result", [lambda X: 0.0, lambda X: np.zeros((len(X), 1)),
-                                        lambda X: np.zeros(len(X) + 1)])
-    def test_batched_callable_returning_wrong_shape_raises(self, result):
+    @pytest.mark.parametrize("name,dim", FAMILIES)
+    def test_one_block_rows_equal_single_calls_bitwise(self, name, dim):
+        # a lone row, each stencil's size and a whole block: one call each
+        tf, x, rng = _family_point(name, dim, 9)
+        f = ObjectiveFn(tf.fn, dim)
+        for m in (1, dim + 1, 2 * dim, 4 * dim, f._block_rows):
+            X = x + 1e-3 * rng.standard_normal((m, dim))
+            values = f.eval_rows(X)
+            assert values.dtype == np.float64 and values.flags.writeable
+            assert values.tobytes() == np.array([tf.fn(row) for row in X]).tobytes()
+
+    def test_one_block_values_are_converted_to_float(self):
+        def fn(X):
+            return np.sum(X, axis=-1, dtype=np.float32)
+
+        fn.batched = True
+        X = np.random.default_rng(4).standard_normal((6, 3))
+        values = ObjectiveFn(fn, 3).eval_rows(X)
+        assert values.dtype == np.float64
+        assert values.tolist() == [float(fn(row)) for row in X]
+
+    def test_one_block_values_do_not_alias_the_callables_buffer(self):
+        # the callable overwrites and returns one buffer; each result keeps
+        # its own values
+        buffer = np.empty(4)
+
+        def fn(X):
+            return np.sum(X, axis=-1, out=buffer)
+
+        fn.batched = True
+        f = ObjectiveFn(fn, 2)
+        first = f.eval_rows(np.ones((4, 2)))
+        second = f.eval_rows(np.full((4, 2), 3.0))
+        assert first.tolist() == [2.0] * 4 and second.tolist() == [6.0] * 4
+        assert not np.shares_memory(first, buffer)
+        assert not np.shares_memory(second, buffer)
+
+    @pytest.mark.parametrize("result, shape", [
+        (lambda X: 0.0, ()),
+        (lambda X: np.zeros((len(X), 1)), (4, 1)),
+        (lambda X: np.zeros(len(X) + 1), (5,)),
+        (lambda X: [0.0] * (len(X) - 1), (3,)),
+    ], ids=["scalar", "column", "one too many", "list one short"])
+    def test_batched_callable_returning_wrong_shape_raises(self, result, shape):
+        # in one block, refused with its message after the rows are counted
         result.batched = True
-        with pytest.raises(ValueError):
-            ObjectiveFn(result, 2).eval_rows(np.zeros((4, 2)))
+        f = ObjectiveFn(result, 2)
+        with pytest.raises(ValueError) as refused:
+            f.eval_rows(np.zeros((4, 2)))
+        assert str(refused.value) == f"batched objective returned shape {shape} for 4 points"
+        assert f.eval_count == 4
+
+    @pytest.mark.parametrize("blocks", [1, 2])
+    def test_rows_are_counted_before_the_callable_runs(self, blocks):
+        # a callable that raises leaves every row counted, in one block or more
+        def fn(X):
+            raise RuntimeError("objective failed")
+
+        fn.batched = True
+        f = ObjectiveFn(fn, 3)
+        m = (blocks - 1) * f._block_rows + 2
+        with pytest.raises(RuntimeError, match="objective failed"):
+            f.eval_rows(np.zeros((m, 3)))
+        assert f.eval_count == m
 
     def test_rows_must_match_the_dimension(self):
         f = ObjectiveFn(rosenbrock2d, 2)
@@ -360,6 +418,25 @@ class TestBasisMatrix:
         with pytest.raises(ValueError):
             basis.matrix[1, 1] = 0.0
         np.testing.assert_array_equal(BasisMatrix.identity(6).matrix, np.eye(6))
+
+    @pytest.mark.parametrize("n", [True, False, np.True_, 1.0, 3.0, 2.0, "3", 0, -1, None],
+                             ids=repr)
+    @pytest.mark.parametrize("cached", [False, True], ids=["fresh cache", "warm cache"])
+    def test_identity_refuses_an_n_that_is_not_a_positive_integer(self, n, cached):
+        # the answer must not depend on what the cache holds
+        BasisMatrix._identity.cache_clear()
+        if cached:
+            BasisMatrix.identity(1)
+            BasisMatrix.identity(3)
+        with pytest.raises(ValueError) as refused:
+            BasisMatrix.identity(n)
+        assert str(refused.value).startswith("n must be an integer")
+
+    def test_identity_takes_a_numpy_integer_as_the_same_n(self):
+        basis = BasisMatrix.identity(np.int64(7))
+        assert BasisMatrix.identity(7) is basis
+        assert BasisMatrix.identity(np.int32(7)) is basis
+        np.testing.assert_array_equal(basis.matrix, np.eye(7))
 
 
 @st.composite

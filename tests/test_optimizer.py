@@ -82,6 +82,18 @@ class TestBfgsOptions:
             setattr(BfgsOptions(), field, kwargs[field])
 
 
+    @pytest.mark.parametrize("opts", [{"max_iters": 5}, 5, "fast", BfgsOptions],
+                             ids=["dict", "int", "str", "the class"])
+    def test_bfgs_refuses_other_opts_before_any_evaluation(self, opts):
+        f = ObjectiveFn(rosenbrock_chained, 3)
+        grad = recording(lambda x: np.zeros(3))
+        with pytest.raises(ValueError) as refused:
+            bfgs_minimize(f, grad, np.zeros(3), opts)
+        assert str(refused.value) == f"opts must be a BfgsOptions or None, got {opts!r}"
+        assert f.eval_count == 0
+        assert grad.calls == []
+
+
 class TestLineSearch:
     def test_newton_step_on_quadratic_accepted_at_one(self):
         A = np.array([[2.0, 0.3], [0.3, 1.0]])

@@ -42,6 +42,11 @@ def test_traced_race_installs_hooks_and_restores_names(name):
     # the tracer reaches the smart step through these two methods by name
     assert calls["smart_estimator.smart_gradient"] > 0
     assert calls["direction_history.update"] > 0
+    # the hot calls of both methods' runs reach these names, which the
+    # per-layer benchmark metrics are read from
+    assert calls["finite_difference.vanilla_gradient"] > 0
+    assert calls["finite_difference.gradient_in_basis"] > 0
+    assert calls["optimizer.line_search"] > 0
     assert tracer.counts["optimizer.bfgs_minimize.iterations"] > 0
     assert tracer.counts["optimizer.line_search.evals"] > 0
     assert tracer.counts["finite_difference.gradient_in_basis.evals"] > 0
