@@ -151,21 +151,18 @@ class ObjectiveFn:
         if not self._batched:
             return np.array([self(row) for row in X])
         m = X.shape[0]
+        rows = self._block_rows
         self.eval_count += m
-        if m <= self._block_rows:
-            values = np.array(self._fn(X), float)
-            if values.shape != (m,):
-                raise ValueError(f"batched objective returned shape {values.shape} for {m} points")
-            return values
-        values = np.empty(m)
-        for start in range(0, m, self._block_rows):
-            block = X[start:start + self._block_rows]
-            block_values = np.asarray(self._fn(block), dtype=float)
-            if block_values.shape != (len(block),):
-                raise ValueError(
-                    f"batched objective returned shape {block_values.shape} for {len(block)} points"
-                )
-            values[start:start + len(block)] = block_values
+        if m <= rows:
+            return self._eval_block(X)
+        return np.concatenate([self._eval_block(X[s:s + rows]) for s in range(0, m, rows)])
+
+    def _eval_block(self, X):
+        """The batched callable's values at the rows of X, as a fresh float
+        array; ValueError unless there is one value per row."""
+        values = np.array(self._fn(X), float)
+        if values.shape != (len(X),):
+            raise ValueError(f"batched objective returned shape {values.shape} for {len(X)} points")
         return values
 
 

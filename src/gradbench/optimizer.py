@@ -82,9 +82,10 @@ def line_search(f, x, d, f0, g0):
     from it.
 
     Returns (alpha, f(x + alpha d)).  Raises ValueError, before any
-    evaluation, when f0 is not finite, d or g0 has not x's shape or d is
-    not a descent direction, and LineSearchError when no acceptable step
-    exists within the iteration budget.
+    evaluation, when f0 is not finite, d or g0 has not x's shape, d is not
+    a descent direction or the slope d.g0 is not finite (-inf, when it
+    overflows), and LineSearchError when no acceptable step exists within
+    the iteration budget.
     """
     if not math.isfinite(f0):
         raise ValueError(f"f0 must be finite, got {f0}")
@@ -94,8 +95,8 @@ def line_search(f, x, d, f0, g0):
     if g0.shape != x.shape:
         raise ValueError(f"g0 must have x's shape {x.shape}, got {g0.shape}")
     dphi0 = float(d.dot(g0))
-    if not dphi0 < 0.0:  # NaN is not a descent slope either
-        raise ValueError("d is not a descent direction")
+    if not -math.inf < dphi0 < 0.0:  # NaN is not a descent slope either
+        raise ValueError(_slope_fault(dphi0))
     phi = f._line(x, d) if isinstance(f, ObjectiveFn) else lambda a: f(x + a * d)
 
     def dphi(a):
@@ -120,6 +121,14 @@ def line_search(f, x, d, f0, g0):
         alpha_prev, phi_prev, dphi_prev = alpha, phi_a, dphi_a
         alpha *= 2.0
     raise LineSearchError(f"no bracket found after {_MAX_EXPANSIONS} expansions")
+
+
+def _slope_fault(slope):
+    """Why a line search cannot start from the slope d.g, which must be
+    negative and finite."""
+    if slope < 0.0:
+        return f"the slope along d is not finite: {slope}"
+    return "d is not a descent direction"
 
 
 def _decreases(phi_a, a, phi0, dphi0):
@@ -205,7 +214,8 @@ def bfgs_minimize(f, grad, x0, opts=None):
     line search terminates the run with the best iterate so far and
     converged=False; so does a value or gradient that is not finite at an
     accepted iterate, the start included (reason "non_finite"), and a
-    gradient so small that even steepest descent has no negative slope.
+    gradient so small that even steepest descent has no negative slope, or
+    so large that its slope overflows to -inf.
     `reason` records which test stopped the run.  A gradient whose shape is
     not x0's raises ValueError, and so does, before any evaluation, an opts
     that is neither None nor a BfgsOptions.
@@ -229,13 +239,15 @@ def bfgs_minimize(f, grad, x0, opts=None):
     reason = _stop_reason(fx, g, opts.grad_tol)
     while reason is None and iterations < opts.max_iters:
         d = -H.dot(g)
-        if not float(g.dot(d)) < 0.0:
-            # rounding broke positive definiteness; restart from steepest descent
+        if not -math.inf < float(g.dot(d)) < 0.0:
+            # rounding broke positive definiteness, or the slope overflowed;
+            # restart from steepest descent
             H = eye
             d = -g
-            if not float(g.dot(d)) < 0.0:
-                # g.g underflowed to 0: no direction has a slope to search along
-                reason = "line_search: d is not a descent direction"
+            slope = float(g.dot(d))
+            if not -math.inf < slope < 0.0:
+                # g.g underflowed to 0 or overflowed: no slope to search along
+                reason = f"line_search: {_slope_fault(slope)}"
                 break
         try:
             alpha, f_new = line_search(f, x, d, fx, g)

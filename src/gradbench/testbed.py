@@ -1,15 +1,16 @@
 """Analytic benchmark functions, their gradients, and the error metric.
 
-A family is its dimension rule in _DIM_RULES, its row of _families()
-(name, objective, analytic gradient, repeating unit of the optimum), a
-pair of private kernels for its value and gradient, and one _family call,
-which makes its public objective and gradient: each converts its input,
-checks the input's last axis against the rule through _check_dim and
-calls its kernel with the family's fixed argument (the Rosenbrock step).
-The rule table is a constant, read by every evaluation; _families() is
-rebuilt per call so that a function rebound on the module is what it hands
-out.  The objectives are batched: each takes points along its trailing
-axis, input (..., n) and output (...), and is marked `batched = True` for
+A family is one row of the constant table _FAMILIES (its name, dimension
+rule and the repeating unit of its optimum), its private kernels for its
+value, gradient and line form, and one _family call, which makes its
+public objective and gradient, rosenbrock_chained and
+rosenbrock_chained_grad for rosenbrock-chained: each converts its input,
+checks the input's last axis against the rule through _check_dim and calls
+its kernel with the family's fixed argument (the Rosenbrock step).
+get_test_function looks the two up on the module by public name, so a
+function rebound on the module (a tracer wraps them) is what it hands out.
+The objectives are batched: each takes points along its trailing axis,
+input (..., n) and output (...), and is marked `batched = True` for
 ObjectiveFn.eval_rows.  Their analytic gradients are batched the same way,
 input (..., n) and output (..., n), and grad_mse reduces over the trailing
 axis.  A row of a C-contiguous batch has the bits of that point evaluated
@@ -58,31 +59,28 @@ import numpy as np
 from .finite_difference import _integer
 
 
-# Each family's dimension rule, as plain bounds on its input's last axis
-# length n: its requirement, as its error words it; the least n; whether n
-# must be even; and the one n it takes, or None.  get_test_function passes
-# the shape (dim,).  A 0-d input has no last axis and is refused like a
-# dimension the rule does not accept.
-_EVEN = ("an even dimension >= 2", 2, True, None)
-_DIM_RULES = {
-    "rosenbrock2d": ("dimension 2", 2, False, 2),
-    "rosenbrock-pairwise": _EVEN,
-    "rosenbrock-chained": ("dimension >= 2", 2, False, None),
-    "freudenstein-roth": _EVEN,
+# Each family, by name: its dimension rule, as plain bounds on its input's
+# last axis length n (its requirement, as its error words it; the least n;
+# whether n must be even; and the one n it takes, or None), then the
+# repeating unit of its optimum.  get_test_function passes the shape
+# (dim,).  A 0-d input has no last axis and is refused like a dimension the
+# rule does not accept.
+_FAMILIES = {
+    "rosenbrock2d": ("dimension 2", 2, False, 2, (1.0,)),
+    "rosenbrock-pairwise": ("an even dimension >= 2", 2, True, None, (1.0,)),
+    "rosenbrock-chained": ("dimension >= 2", 2, False, None, (1.0,)),
+    "freudenstein-roth": ("an even dimension >= 2", 2, True, None, (5.0, 4.0)),
 }
+FUNCTION_NAMES = tuple(_FAMILIES)
 
 
 def _check_dim(shape, name):
     """ValueError, naming the family, unless its rule accepts shape's last axis."""
-    requirement, least, even, exact = _DIM_RULES[name]
-    try:
-        n = shape[-1]
-        if n >= least and not (even and n % 2) and (exact is None or n == exact):
-            return
-    except IndexError:
-        pass
-    got = shape[-1] if shape else "a 0-d input"
-    raise ValueError(f"{name} requires {requirement}, got {got}")
+    requirement, least, even, exact, _ = _FAMILIES[name]
+    n = shape[-1] if shape else 0  # every rule refuses 0
+    if n >= least and not (even and n % 2) and (exact is None or n == exact):
+        return
+    raise ValueError(f"{name} requires {requirement}, got {n if shape else 'a 0-d input'}")
 
 
 def _term_major(s):
@@ -331,26 +329,16 @@ class TestFunction:
     optimum: Optional[np.ndarray] = None
 
 
-def _families():
-    """The family rows, built per call from the module's current functions
-    so that one rebound on the module (a tracer wraps them) is handed out."""
-    return {
-        "rosenbrock2d": (rosenbrock2d, rosenbrock2d_grad, (1.0,)),
-        "rosenbrock-pairwise": (rosenbrock_pairwise, rosenbrock_pairwise_grad, (1.0,)),
-        "rosenbrock-chained": (rosenbrock_chained, rosenbrock_chained_grad, (1.0,)),
-        "freudenstein-roth": (freudenstein_roth, freudenstein_roth_grad, (5.0, 4.0)),
-    }
-
-
-FUNCTION_NAMES = tuple(_families())
-
-
 def get_test_function(name, dim):
     """Build the named test function at the requested dimension; ValueError
-    for an unknown name or a dimension the family's rule refuses."""
+    for an unknown name or a dimension the family's rule refuses.  Its
+    objective and gradient are the module's by public name when called, so
+    one rebound on the module (a tracer wraps them) is what it hands out."""
     dim = _integer(dim, "dim")
     if name not in FUNCTION_NAMES:
         raise ValueError(f"unknown test function {name!r}")
     _check_dim((dim,), name)
-    fn, grad, unit = _families()[name]
-    return TestFunction(name, dim, fn, grad, np.tile(unit, dim // len(unit)))
+    public = name.replace("-", "_")
+    unit = _FAMILIES[name][-1]
+    return TestFunction(name, dim, globals()[public], globals()[public + "_grad"],
+                        np.tile(unit, dim // len(unit)))

@@ -268,9 +268,11 @@ class TestObjectiveFn:
 
         fn.batched = True
         f = ObjectiveFn(fn, 3)
-        with pytest.raises(ValueError):
-            f.eval_rows(np.zeros((_BLOCK_BYTES // 24 + 1, 3)))
+        m = _BLOCK_BYTES // 24 + 1
+        with pytest.raises(ValueError, match=re.escape("returned shape (2,) for 1 points")):
+            f.eval_rows(np.zeros((m, 3)))
         assert calls == [_BLOCK_BYTES // 24, 1]
+        assert f.eval_count == m
 
     @pytest.mark.parametrize("name,dim", FAMILIES)
     def test_one_block_rows_equal_single_calls_bitwise(self, name, dim):

@@ -145,6 +145,19 @@ class TestLineSearch:
             line_search(f, x, np.array(d), rosenbrock2d(x), np.array(g0))
         assert f.eval_count == 0
 
+    @pytest.mark.parametrize("entry", [0, 1, 2])
+    def test_infinite_slope_rejected_before_any_evaluation(self, entry):
+        # a slope of -inf passed the descent test: the search spent 48
+        # evaluations and ended on "zoom interval collapsed"
+        f = ObjectiveFn(rosenbrock_chained, 3)
+        x = np.array([0.5, 0.2, -0.1])
+        g = get_test_function("rosenbrock-chained", 3).grad(x)
+        d = -g
+        d[entry] = -np.sign(g[entry]) * np.inf
+        with pytest.raises(ValueError, match="slope along d is not finite: -inf"):
+            line_search(f, x, d, rosenbrock_chained(x), g)
+        assert f.eval_count == 0
+
     @pytest.mark.parametrize("f0", [np.nan, -np.inf, np.inf])
     def test_non_finite_start_value_rejected_before_any_evaluation(self, f0):
         # no trial value decreases from NaN or -inf: the search used to
@@ -377,6 +390,17 @@ class TestBfgsMinimize:
         assert res.reason == "line_search: d is not a descent direction"
         assert res.iterations == 0
         np.testing.assert_array_equal(res.x_opt, [1e-3, 2e-3])
+
+    def test_overflowing_slope_stops_the_run(self):
+        # a finite gradient whose g.d overflows to -inf restarts from
+        # steepest descent, whose slope overflows too; the run used to end
+        # on "zoom interval collapsed" after 49 evaluations
+        f = ObjectiveFn(lambda x: float(x @ x), 3)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            res = bfgs_minimize(f, lambda x: np.full(3, 1e160), np.ones(3))
+        assert res.reason == "line_search: the slope along d is not finite: -inf"
+        assert res.iterations == 0
+        assert f.eval_count == 1
 
     def test_deterministic(self):
         f1 = ObjectiveFn(rosenbrock2d, 2)

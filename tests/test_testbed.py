@@ -459,6 +459,17 @@ class TestRegistry:
                 assert f.batched is True
             assert tf.fn.__doc__
 
+    @pytest.mark.parametrize("name", FUNCTION_NAMES)
+    def test_hands_out_the_functions_rebound_on_the_module(self, name, monkeypatch):
+        # the benchmark's tracer wraps each family's functions by rebinding
+        # their public names, and the registry must hand out the wrappers
+        public = name.replace("-", "_")
+        fn, grad = object(), object()
+        monkeypatch.setattr(testbed, public, fn)
+        monkeypatch.setattr(testbed, public + "_grad", grad)
+        tf = get_test_function(name, largest_dim(name, 5))
+        assert tf.fn is fn and tf.grad is grad
+
     def test_optima_are_stationary(self):
         for name in FUNCTION_NAMES:
             dim = largest_dim(name, 7)
