@@ -4,9 +4,11 @@ history of descent directions, with a BFGS harness and benchmark tooling.
 Every matrix and vector product is taken with the ndarray.dot method, not
 the @ operator or np.dot: at the sizes the optimizer works at, a product
 costs numpy's call dispatch more than arithmetic, and .dot calls the same
-BLAS routine for the same bits with less of it.  A squared norm that may
+BLAS routine for the same bits with less of it.  A product that may
 overflow is np.vdot, which gives those bits too and checks no
-floating-point flags, so an overflow is inf with no warning.
+floating-point flags, so an overflow is inf with no warning: the history's
+step norm, and the optimizer's slopes d.g (its two descent tests and the
+line search's slope at the start).
 """
 
 from .direction_history import DirectionHistory, mgs_orthonormalize

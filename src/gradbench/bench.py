@@ -4,10 +4,17 @@ Each experiment is deterministic for a fixed seed: per-repetition random
 streams come from a counter-based seed split, records are emitted in a
 fixed sort order, and the CSV writers print floats with 17 significant
 digits, so identical invocations produce byte-identical files.
+
+The writers emit one formatted line per record, with the bytes csv.writer
+gives for the same row: a string field (function, method) is rendered once
+by the csv module, which quotes it as needed, and reused.  read_bench_csv
+parses with csv.reader and fetches a row's seven columns at once.
 """
 
 import csv
+import io
 import math
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -170,7 +177,7 @@ def run_comparison(function, dim, reps=100, seed=0, scheme=FdScheme()):
                 BenchRecord(test_fn.name, dim, rep, iteration, method, mse, grad_norm)
                 for iteration, mse, grad_norm in _recorded_run(test_fn, x0, scheme, method)
             )
-    records.sort(key=lambda r: (r.rep, r.iteration, r.method))
+    records.sort(key=operator.attrgetter("rep", "iteration", "method"))
     return records
 
 
@@ -276,21 +283,36 @@ def run_hessian_demo(function, dim, seed=0):
     )
 
 
-def _g17(value):
-    return format(float(value), ".17g")
+class _CsvFields(dict):
+    """Each distinct string field, rendered once by the csv module: quoted
+    as a csv.writer(fh, lineterminator="\n") row quotes it."""
+
+    def __missing__(self, value):
+        buffer = io.StringIO()
+        # a row of two fields: a lone empty field would be quoted as ""
+        csv.writer(buffer, lineterminator="\n").writerow((value, ""))
+        text = self[value] = buffer.getvalue()[:-2]
+        return text
 
 
-def _write_csv(path, header, rows):
+def _write_lines(path, header, lines):
+    """Write the header row, then the already formatted lines, one by one."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(header) + "\n")
+        fh.writelines(lines)
 
 
 def write_bench_csv(records, path):
-    """Write comparison records with a header row and 17-digit floats."""
-    _write_csv(path, BENCH_CSV_COLUMNS, (
-        (r.function, r.dim, r.rep, r.iteration, r.method, _g17(r.mse), _g17(r.grad_norm))
+    """Write comparison records with a header row and 17-digit floats.
+
+    One formatted line per record, with the bytes csv.writer gives for the
+    same row: ints as str() writes them, floats with format .17g, and the
+    function and method fields quoted by the csv module (see _CsvFields).
+    """
+    fields = _CsvFields()
+    _write_lines(path, BENCH_CSV_COLUMNS, (
+        f"{fields[r.function]},{r.dim},{r.rep},{r.iteration},{fields[r.method]},"
+        f"{float(r.mse):.17g},{float(r.grad_norm):.17g}\n"
         for r in records
     ))
 
@@ -310,13 +332,13 @@ def read_bench_csv(path):
         missing = [name for name in BENCH_CSV_COLUMNS if name not in index]
         if missing:
             raise ValueError(f"{path}: missing column(s) {', '.join(missing)}")
-        fn, dim, rep, it, method, mse, norm = (index[name] for name in BENCH_CSV_COLUMNS)
+        columns = operator.itemgetter(*(index[name] for name in BENCH_CSV_COLUMNS))
         try:
             return [
-                BenchRecord(sys.intern(row[fn]), int(row[dim]), int(row[rep]), int(row[it]),
-                            sys.intern(row[method]), float(row[mse]), float(row[norm]))
-                for row in rows
-                if row  # a blank line, as csv.DictReader skips them
+                BenchRecord(sys.intern(fn), int(dim), int(rep), int(it),
+                            sys.intern(method), float(mse), float(norm))
+                # filter(None, ...) skips blank lines, as csv.DictReader does
+                for fn, dim, rep, it, method, mse, norm in map(columns, filter(None, rows))
             ]
         except IndexError:
             raise ValueError(
@@ -327,7 +349,9 @@ def read_bench_csv(path):
 
 
 def write_rotate_csv(records, path):
-    """Write rotation-scan records with a header row and 17-digit floats."""
-    _write_csv(path, ROTATE_CSV_COLUMNS, (
-        (_g17(r.angle), _g17(r.mse), _g17(r.dir_grad_magnitude)) for r in records
+    """Write rotation-scan records with a header row and 17-digit floats,
+    one formatted line per record."""
+    _write_lines(path, ROTATE_CSV_COLUMNS, (
+        f"{float(r.angle):.17g},{float(r.mse):.17g},{float(r.dir_grad_magnitude):.17g}\n"
+        for r in records
     ))

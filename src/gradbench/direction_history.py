@@ -76,7 +76,7 @@ def _push_leading(Q, u):
     head, tail = s[:k], s[1:k + 1]
     # tails[:, j - 1] = sum_{m=j..k} c_m Q[:, m]
     tails = np.add.accumulate((Q[:, 1:k + 1] * c[1:k + 1])[:, ::-1], axis=1)[:, ::-1]
-    G = np.empty_like(Q)
+    G = np.empty(Q.shape)  # np.empty_like(Q) without its dispatcher: Q is C-ordered too
     G[:, 0] = u
     new = G[:, 1:k + 1]
     np.multiply(Q[:, :k], np.sqrt(tail / head), out=new)

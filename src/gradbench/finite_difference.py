@@ -170,7 +170,8 @@ def _orthonormality_defect(G):
     """Infinity norm of G^T G - I (max absolute row sum)."""
     E = G.T.dot(G)
     E.reshape(-1)[::E.shape[0] + 1] -= 1.0  # the diagonal, in place
-    return float(np.abs(E, out=E).sum(axis=1).max())
+    # .sum(axis=1).max() without the Python wrappers of the two methods
+    return float(np.maximum.reduce(np.add.reduce(np.abs(E, out=E), axis=1)))
 
 
 def _square_matrix(matrix):
@@ -338,16 +339,16 @@ def _gradient_along_columns(f, x, columns, scheme):
         P = np.empty((2 * n, x.size))
         np.add(x, hU, out=P[:n])
         np.subtract(x, hU, out=P[n:])
-        plus, minus = f.eval_rows(P).reshape(2, -1)
-        return (plus - minus) / (2.0 * h)
+        F = f.eval_rows(P)
+        return (F[:n] - F[n:]) / (2.0 * h)
     hU, h2U = h * U, 2.0 * h * U  # central4
     P = np.empty((4 * n, x.size))
     np.add(x, h2U, out=P[:n])
     np.add(x, hU, out=P[n:2 * n])
     np.subtract(x, hU, out=P[2 * n:3 * n])
     np.subtract(x, h2U, out=P[3 * n:])
-    plus2, plus, minus, minus2 = f.eval_rows(P).reshape(4, -1)
-    return (-plus2 + 8.0 * plus - 8.0 * minus + minus2) / (12.0 * h)
+    F = f.eval_rows(P)
+    return (-F[:n] + 8.0 * F[n:2 * n] - 8.0 * F[2 * n:3 * n] + F[3 * n:]) / (12.0 * h)
 
 
 def gradient_in_basis(f, x, basis, scheme=FdScheme()):

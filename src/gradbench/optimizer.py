@@ -94,7 +94,7 @@ def line_search(f, x, d, f0, g0):
         raise ValueError(f"d must have x's shape {x.shape}, got {d.shape}")
     if g0.shape != x.shape:
         raise ValueError(f"g0 must have x's shape {x.shape}, got {g0.shape}")
-    dphi0 = float(d.dot(g0))
+    dphi0 = float(np.vdot(d, g0))
     if not -math.inf < dphi0 < 0.0:  # NaN is not a descent slope either
         raise ValueError(_slope_fault(dphi0))
     phi = f._line(x, d) if isinstance(f, ObjectiveFn) else lambda a: f(x + a * d)
@@ -239,12 +239,12 @@ def bfgs_minimize(f, grad, x0, opts=None):
     reason = _stop_reason(fx, g, opts.grad_tol)
     while reason is None and iterations < opts.max_iters:
         d = -H.dot(g)
-        if not -math.inf < float(g.dot(d)) < 0.0:
+        if not -math.inf < float(np.vdot(g, d)) < 0.0:
             # rounding broke positive definiteness, or the slope overflowed;
             # restart from steepest descent
             H = eye
             d = -g
-            slope = float(g.dot(d))
+            slope = float(np.vdot(g, d))
             if not -math.inf < slope < 0.0:
                 # g.g underflowed to 0 or overflowed: no slope to search along
                 reason = f"line_search: {_slope_fault(slope)}"

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import math
 
@@ -409,6 +410,7 @@ class TestCsvIO:
     @pytest.mark.parametrize("row,message", [
         ("f,2,0,1,sma", "line 3 has fewer fields"),  # a file cut off mid-write
         ("f,2,0,x,smart,1.0,2.0", "line 3: invalid literal"),
+        ("\nf,2,0,x,smart,1.0,2.0", "line 4: invalid literal"),  # past a blank line
     ])
     def test_bad_row_names_its_line(self, tmp_path, row, message):
         path = tmp_path / "bench.csv"
@@ -433,10 +435,49 @@ class TestCsvIO:
         assert lines[0] == "function,dim,rep,iteration,method,mse,grad_norm"
         assert lines[1] == "f,2,0,0,vanilla,0.33333333333333331,2"
 
+    @staticmethod
+    def csv_module_bytes(path, header, rows):
+        """What csv.writer writes for the rows, floats formatted .17g first."""
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(
+                [format(v, ".17g") if isinstance(v, float) else v for v in row] for row in rows
+            )
+        return path.read_bytes()
+
+    def test_quoted_name_and_special_values(self, tmp_path):
+        # a name the csv module must quote, and floats that are not finite
+        name = 'sphere, "quoted"\nname'
+        records = bench.run_comparison(dataclasses.replace(sphere_function(2), name=name),
+                                       2, reps=2, seed=1)
+        special = [
+            BenchRecord(name, 2, 2, 0, "smart", math.inf, -0.0),
+            BenchRecord(name, 2, 2, 1, "vanilla", -math.inf, math.nan),
+            BenchRecord("", 2, 2, 2, "smart", math.nan, math.inf),  # an empty field
+        ]
+        path = tmp_path / "quoted.csv"
+        bench.write_bench_csv(records + special, path)
+        expected = self.csv_module_bytes(tmp_path / "expected.csv", bench.BENCH_CSV_COLUMNS,
+                                         map(dataclasses.astuple, records + special))
+        assert path.read_bytes() == expected
+        assert b'"sphere, ""quoted""\nname",2,0,0,smart,' in expected
+        back = bench.read_bench_csv(path)
+        assert back[:len(records)] == records
+        assert [repr(dataclasses.astuple(r)) for r in back[len(records):]] == [
+            repr(dataclasses.astuple(r)) for r in special
+        ]
+
     def test_rotate_csv(self, tmp_path):
         records = bench.run_rotation_scan(angle_step=np.pi / 4)
+        special = [bench.RotateRecord(1.0 / 3.0, math.inf, -0.0),
+                   bench.RotateRecord(4.0, math.nan, -math.inf)]
         path = tmp_path / "rot.csv"
-        bench.write_rotate_csv(records, path)
+        bench.write_rotate_csv(records + special, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "angle,mse,dir_grad_magnitude"
-        assert len(lines) == len(records) + 1
+        assert len(lines) == len(records) + len(special) + 1
+        assert lines[-2:] == ["0.33333333333333331,inf,-0", "4,nan,-inf"]
+        assert path.read_bytes() == self.csv_module_bytes(
+            tmp_path / "expected.csv", bench.ROTATE_CSV_COLUMNS,
+            map(dataclasses.astuple, records + special))

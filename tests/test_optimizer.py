@@ -394,10 +394,10 @@ class TestBfgsMinimize:
     def test_overflowing_slope_stops_the_run(self):
         # a finite gradient whose g.d overflows to -inf restarts from
         # steepest descent, whose slope overflows too; the run used to end
-        # on "zoom interval collapsed" after 49 evaluations
+        # on "zoom interval collapsed" after 49 evaluations.  The slopes are
+        # np.vdot, so no overflow warning is raised on the way
         f = ObjectiveFn(lambda x: float(x @ x), 3)
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            res = bfgs_minimize(f, lambda x: np.full(3, 1e160), np.ones(3))
+        res = bfgs_minimize(f, lambda x: np.full(3, 1e160), np.ones(3))
         assert res.reason == "line_search: the slope along d is not finite: -inf"
         assert res.iterations == 0
         assert f.eval_count == 1
