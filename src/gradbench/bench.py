@@ -241,7 +241,8 @@ def run_rotation_scan(x=DEFAULT_ROTATION_POINT, angle_step=DEFAULT_ANGLE_STEP,
     entry, from the same stencil points, so an angle costs one stencil: 4
     evaluations under central1, 8 under central4 and 3 under forward1.
     """
-    if not 0.0 < _number(angle_step, "angle_step") < np.inf:
+    angle_step = _number(angle_step, "angle_step")
+    if not 0.0 < angle_step < math.inf:
         raise ValueError("angle_step must be positive and finite")
     scheme = _check_scheme(scheme)
     objective = ObjectiveFn(rosenbrock2d, 2)

@@ -38,11 +38,16 @@ def _integer(value, name, least=1):
 
 
 def _number(value, name):
-    """value; ValueError, naming it `name`, unless it is a Python or numpy
-    real number, not a bool."""
+    """value as a float, or inf of its sign if it overflows one; ValueError,
+    naming it `name`, unless it is a Python or numpy real number, not a
+    bool.  A float, since under numpy 2 a numpy scalar keeps its own dtype
+    in arithmetic with Python floats: a float16 step's 2.0 * h is float16."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a number, got {value!r}")
-    return value
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def _wrong_point(dim, shape, what="a point"):
@@ -61,7 +66,8 @@ class FdScheme:
 
     name is one of SCHEME_NAMES: the two-point central, five-point central
     and two-point forward stencils, in that order.  step is the absolute
-    step length h, applied as-is regardless of the scale of x.
+    step length h, applied as-is regardless of the scale of x, and is kept
+    as a Python float.
     """
 
     name: str = "central1"
@@ -70,8 +76,10 @@ class FdScheme:
     def __post_init__(self):
         if self.name not in SCHEME_NAMES:
             raise ValueError(f"unknown scheme name {self.name!r}")
-        if not 0.0 < _number(self.step, "step") < np.inf:
+        step = _number(self.step, "step")
+        if not 0.0 < step < math.inf:
             raise ValueError("step must be positive and finite")
+        object.__setattr__(self, "step", step)
 
     @classmethod
     def from_name(cls, name, step=1e-3):
@@ -276,7 +284,11 @@ class BasisMatrix:
 
     @classmethod
     def rotation_2d(cls, angle):
-        """Counter-clockwise rotation of the plane by `angle` radians."""
+        """Counter-clockwise rotation of the plane by `angle` radians, a
+        finite real number taken as a Python float (else ValueError)."""
+        angle = _number(angle, "angle")
+        if not math.isfinite(angle):
+            raise ValueError(f"angle must be finite, got {angle!r}")
         c, s = np.cos(angle), np.sin(angle)
         return cls(np.array([[c, -s], [s, c]]))
 

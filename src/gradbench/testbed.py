@@ -16,8 +16,9 @@ input (..., n) and output (..., n), and grad_mse reduces over the trailing
 axis.  A row of a C-contiguous batch has the bits of that point evaluated
 alone.  The Rosenbrock families sum one banana term, 100 (b - a^2)^2 +
 (1 - a)^2, over pairs of coordinates (More, Garbow & Hillstrom, *ACM TOMS*
-7 (1981) 17-41) and differ only in the pairing (_rosenbrock); rosenbrock2d
-is rosenbrock-pairwise at n = 2.
+7 (1981) 17-41) and differ only in the pairing (_rosenbrock, and the stride
+of _rosenbrock_grad); rosenbrock2d is rosenbrock-pairwise at n = 2, so at
+n = 2 the three give the same bits, values and gradients alike.
 
 An array goes through an in-place kernel.  It copies the coordinate slices
 its formula uses into term-major C-contiguous arrays, (..., k) -> (k, ...),
@@ -37,12 +38,15 @@ x_i + t * d_i, the two roundings of numpy's x + t * d, applies the array
 path's operations in its order and adds the terms first to last from a
 running sum that starts at 0.0, which adds exactly: each term is a sum of
 two squares, so never -0.0.  A lone point's analytic gradient (a 1-D
-argument) is taken in Python floats the same way; a chained entry is
-(0.0 + da[k]) + db[k - 1], as the array path adds the two partials into
-zeros.  A numpy ufunc call costs about a microsecond of dispatch, more
-than a point's arithmetic: a point on a line took 0.7 us (rosenbrock-
-chained, n = 5) and 2.9 us (freudenstein-roth, n = 26), against 2.8 and
-4.9 us as ObjectiveFn(x + t * d); a lone gradient 2.1 and 7.8 us, against
+argument) is taken in Python floats the same way for rosenbrock-chained
+and freudenstein-roth, the two families whose lone gradients the hessian
+benchmark's set-up takes; a chained entry is (0.0 + da[k]) + db[k - 1], as
+the array path adds the two partials into zeros.  The other families' lone
+gradients take the array path, with the same bits.  A numpy ufunc call
+costs about a microsecond of dispatch, more than a point's arithmetic: a
+point on a line took 0.7 us (rosenbrock-chained, n = 5) and 2.9 us
+(freudenstein-roth, n = 26), against 2.8 and 4.9 us as
+ObjectiveFn(x + t * d); a lone gradient 2.1 and 7.8 us, against
 7.6 and 17.6 us on the array path (2 vCPU, Python 3.11, numpy 2.4).  A
 lone value, and a point on a line or a lone gradient that is not finite,
 take the array path, which keeps numpy's RuntimeWarnings and np.errstate.
@@ -149,38 +153,29 @@ def _rosenbrock_line(x, d, step):
 
 def _rosenbrock_grad(x, step):
     """The gradient of _rosenbrock(x, step): each pair's two partial
-    derivatives, added up where pairs share a coordinate (step 1)."""
-    if x.ndim == 1:
+    derivatives added into zeros, where pairs share a coordinate (step 1)
+    one after the other.  A lone point at step 1 is taken in Python floats
+    (see the module docstring); every other point takes the array path."""
+    if x.ndim == 1 and step == 1:
         v = x.tolist()
         g = []
-        if step == 1:
-            # the array path's g[k] = (0.0 + da[k]) + db[k - 1]; db before
-            # the first pair is -0.0, which adds exactly to 0.0 + da
-            db = -0.0
-            for a, b in zip(v, v[1:]):
-                t = b - a * a
-                g.append((0.0 + (-400.0 * a * t - 2.0 * (1.0 - a))) + db)
-                db = 200.0 * t
-            g.append(0.0 + db)
-        else:
-            for a, b in zip(v[::2], v[1::2]):
-                t = b - a * a
-                g += (-400.0 * a * t - 2.0 * (1.0 - a), 200.0 * t)
+        # the array path's g[k] = (0.0 + da[k]) + db[k - 1]; db before the
+        # first pair is -0.0, which adds exactly to 0.0 + da
+        db = -0.0
+        for a, b in zip(v, v[1:]):
+            t = b - a * a
+            g.append((0.0 + (-400.0 * a * t - 2.0 * (1.0 - a))) + db)
+            db = 200.0 * t
+        g.append(0.0 + db)
         # finite entries whose sum is finite; any others take the array
         # path, which gives the same bits with numpy's warnings
         if math.isfinite(sum(g)):
             return np.array(g)
     a, b = x[..., :-1:step], x[..., 1::step]
     t = b - a * a
-    da, db = -400.0 * a * t - 2.0 * (1.0 - a), 200.0 * t
-    if step == 1:
-        g = np.zeros_like(x)
-        g[..., :-1] += da
-        g[..., 1:] += db
-    else:
-        g = np.empty_like(x)
-        g[..., 0::2] = da
-        g[..., 1::2] = db
+    g = np.zeros_like(x)
+    g[..., :-1:step] += -400.0 * a * t - 2.0 * (1.0 - a)
+    g[..., 1::step] += 200.0 * t
     return g
 
 

@@ -335,8 +335,14 @@ class TestRotationScan:
         expected = reference_rotation_scan(x, np.pi / 16, scheme)
         assert bench.run_rotation_scan(x, np.pi / 16, scheme) == expected
 
+    def test_numpy_angle_step_is_taken_as_a_float(self):
+        # a float16 step's multiples would stay float16 and move the MSEs
+        step = np.float16(0.1)
+        assert bench.run_rotation_scan(angle_step=step) == bench.run_rotation_scan(
+            angle_step=float(step))
+
     def test_invalid_arguments_rejected(self):
-        for angle_step in (0.0, np.nan, np.inf):
+        for angle_step in (0.0, np.nan, np.inf, 10**400):
             with pytest.raises(ValueError):
                 bench.run_rotation_scan(angle_step=angle_step)
         for angle_step in (True, "0.5"):

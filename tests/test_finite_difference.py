@@ -86,10 +86,13 @@ class TestFdScheme:
         with pytest.raises(ValueError, match="forward4"):
             FdScheme("forward4")
 
-    # a 0-d array and a Decimal are not numbers.Real, so they are refused too
+    # a 0-d array and a Decimal are not numbers.Real, so they are refused
+    # too; an int that overflows a float is refused as infinite
     @pytest.mark.parametrize(
         "step",
-        [0.0, -1e-3, np.inf, np.nan, True, np.True_, "0.001", None, np.array(1e-3), Decimal("0.001")],
+        [0.0, -1e-3, np.inf, np.nan, True, np.True_, "0.001", None, np.array(1e-3),
+         Decimal("0.001"), pytest.param(10**400, id="int-1e400"),
+         pytest.param(-(10**400), id="int--1e400")],
     )
     def test_nonpositive_step_rejected(self, step):
         with pytest.raises(ValueError, match="^step must be"):
@@ -102,7 +105,29 @@ class TestFdScheme:
 
     @pytest.mark.parametrize("step", [1, np.float64(1e-3), np.float32(1e-3), np.int64(1)])
     def test_real_scalar_step_accepted(self, step):
-        assert FdScheme(step=step).step == step
+        scheme = FdScheme(step=step)
+        assert scheme.step == step and type(scheme.step) is float
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32])
+    def test_numpy_step_gives_the_float_steps_estimates(self, dtype):
+        # Under numpy 2, 2.0 * h, 12.0 * h and h * h would stay in a numpy
+        # step's own dtype: a float16 step put this central4 Hessian 3.7e-2
+        # off, against 2.8e-11 for the same step as a Python float.
+        A = np.array([[3.0, 1.0], [1.0, 2.0]])
+
+        def f(y):
+            return 0.5 * y @ A @ y
+
+        x = np.array([0.3, -0.7])
+        h = dtype(1e-3)
+        schemes = (FdScheme("central4", h), FdScheme("central4", float(h)))
+        grads = [vanilla_gradient(ObjectiveFn(f, 2), x, s).values for s in schemes]
+        hessians = [hessian_in_basis(ObjectiveFn(f, 2), x, BasisMatrix.identity(2), s).values
+                    for s in schemes]
+        assert grads[0].tobytes() == grads[1].tobytes()
+        assert hessians[0].tobytes() == hessians[1].tobytes()
+        np.testing.assert_allclose(grads[0], A @ x, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(hessians[0], A, rtol=0, atol=1e-8)
 
     def test_from_name(self):
         assert FdScheme.from_name("central1") == FdScheme("central1", 1e-3)
@@ -356,6 +381,23 @@ class TestBasisMatrix:
     def test_orthonormality_detected(self):
         assert BasisMatrix.rotation_2d(0.7).orthonormal
         assert not BasisMatrix(np.array([[2.0, 0.0], [0.0, 1.0]])).orthonormal
+
+    @pytest.mark.parametrize("angle", [1, np.int8(1), np.float16(1.0), np.float32(1.0)])
+    def test_rotation_takes_its_angle_as_a_float(self, angle):
+        # numpy's cos and sin of a small dtype would give float16 entries,
+        # 0.54052734 for cos 1, and a basis that does not measure orthonormal
+        basis = BasisMatrix.rotation_2d(angle)
+        assert basis.orthonormal
+        assert basis.matrix.tobytes() == BasisMatrix.rotation_2d(1.0).matrix.tobytes()
+
+    @pytest.mark.parametrize("angle", [True, "1", None, np.inf, -np.inf, np.nan,
+                                       pytest.param(10**400, id="int-1e400")])
+    def test_rotation_refuses_a_non_number_or_a_non_finite_angle(self, angle):
+        # refused before numpy's cos could warn about an infinite angle
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^angle must be"):
+                BasisMatrix.rotation_2d(angle)
 
     def test_singular_rejected(self):
         with pytest.raises(IllConditionedBasisError):

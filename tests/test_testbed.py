@@ -251,15 +251,16 @@ class TestCoordinateOrderSum:
         assert testbed.rosenbrock_pairwise(np.stack([x, x, x])).tolist() == [1.0] * 3
 
 
-# every family takes a lone point's gradient in Python floats
-LONE_POINT_FAMILIES = FUNCTION_NAMES
+# the families that take a lone point's gradient in Python floats; the
+# others take it on the array path
+FLOAT_GRADIENT_FAMILIES = ("rosenbrock-chained", "freudenstein-roth")
 
 
 @st.composite
 def lone_points(draw):
     """A family and one point for it, at coordinate scales from 1e-3 to
     1e160, so that many points overflow."""
-    name = draw(st.sampled_from(LONE_POINT_FAMILIES))
+    name = draw(st.sampled_from(FUNCTION_NAMES))
     n = draw(st.sampled_from(accepted_dims(name, 40)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     return name, 10.0 ** draw(st.floats(-3.0, 160.0)) * rng.standard_normal(n)
@@ -274,8 +275,9 @@ def value_and_warned(f, x):
 
 
 class TestLonePoints:
-    """A lone point's value is taken on the array path and its gradient in
-    Python floats, both with a batch row's bits."""
+    """A lone point's value is taken on the array path, and its gradient in
+    Python floats or on the array path by family, all with a batch row's
+    bits."""
 
     @PROPERTY_SETTINGS
     @given(lone_points())
@@ -313,7 +315,24 @@ class TestLonePoints:
             assert fn(x) == 29886.385215859038
             assert fn(x[None]).tolist() == [29886.385215859038]
 
-    @pytest.mark.parametrize("name", LONE_POINT_FAMILIES)
+    def test_rosenbrock_gradients_have_the_same_bits_at_n2(self):
+        # The three families pair the same two coordinates at n = 2 and add
+        # each partial into zeros, so at the optimum and at rows of +-0.0,
+        # where a partial is a zero of either sign, its sign agrees too.
+        rng = np.random.default_rng(13)
+        X = np.concatenate([
+            [[1.0, 1.0], [0.0, 0.0], [-0.0, -0.0], [0.0, -0.0], [-0.0, 0.0]],
+            rng.standard_normal((5, 2)),
+            30.0 * rng.standard_normal((5, 2)),
+        ])
+        expected = testbed.rosenbrock_chained_grad(X)
+        for name in ("rosenbrock2d", "rosenbrock-pairwise", "rosenbrock-chained"):
+            grad = get_test_function(name, 2).grad
+            assert grad(X).tobytes() == expected.tobytes()
+            for x, row in zip(X, expected):
+                assert grad(x).tobytes() == row.tobytes()
+
+    @pytest.mark.parametrize("name", FUNCTION_NAMES)
     def test_finite_point_on_a_line_never_takes_the_array_path(self, name, monkeypatch):
         def array_path(s):
             raise AssertionError("the array path was taken")
@@ -327,7 +346,7 @@ class TestLonePoints:
         with pytest.raises(AssertionError, match="array path"):
             tf.fn(x)
 
-    @pytest.mark.parametrize("name", LONE_POINT_FAMILIES)
+    @pytest.mark.parametrize("name", FLOAT_GRADIENT_FAMILIES)
     def test_finite_lone_gradient_never_takes_the_array_path(self, name, monkeypatch):
         # The batch's bits are taken first.  At the optimum and at -0.0
         # everywhere, the chained sums' first and last entries add a zero
