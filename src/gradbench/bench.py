@@ -25,7 +25,6 @@ from .finite_difference import (
     FdScheme,
     ObjectiveFn,
     _check_point,
-    _check_scheme,
     _gradient_along_columns,
     _integer,
     _number,
@@ -116,8 +115,12 @@ def _draw_start(seed, rep, dim):
 
 
 def _resolve_function(function, dim):
+    """The TestFunction `function` names, or `function` itself; ValueError
+    unless dim is an integer >= 1 that is its dimension.  Callers take the
+    dimension from what this returns, not from dim, which may be a numpy
+    integer."""
     if isinstance(function, TestFunction):
-        if function.dim != dim:
+        if function.dim != _integer(dim, "dim"):
             raise ValueError("dim does not match the supplied test function")
         return function
     return get_test_function(function, dim)
@@ -163,18 +166,17 @@ def run_comparison(function, dim, reps=100, seed=0, scheme=FdScheme()):
     START_SCALE) and the optimizer runs once per method from that same
     point; every gradient-callback invocation (one per accepted iterate)
     is scored against the analytic gradient.  `function` may be a registry
-    name or a TestFunction.
+    name or a TestFunction; dim is an integer, its dimension.
     """
     test_fn = _resolve_function(function, dim)
     reps = _integer(reps, "reps")
     seed = _integer(seed, "seed", least=0)
-    scheme = _check_scheme(scheme)
     records = []
     for rep in range(reps):
-        x0 = _draw_start(seed, rep, dim)
+        x0 = _draw_start(seed, rep, test_fn.dim)
         for method in METHODS:
             records.extend(
-                BenchRecord(test_fn.name, dim, rep, iteration, method, mse, grad_norm)
+                BenchRecord(test_fn.name, test_fn.dim, rep, iteration, method, mse, grad_norm)
                 for iteration, mse, grad_norm in _recorded_run(test_fn, x0, scheme, method)
             )
     records.sort(key=operator.attrgetter("rep", "iteration", "method"))
@@ -244,9 +246,8 @@ def run_rotation_scan(x=DEFAULT_ROTATION_POINT, angle_step=DEFAULT_ANGLE_STEP,
     angle_step = _number(angle_step, "angle_step")
     if not 0.0 < angle_step < math.inf:
         raise ValueError("angle_step must be positive and finite")
-    scheme = _check_scheme(scheme)
     objective = ObjectiveFn(rosenbrock2d, 2)
-    x = _check_point(objective, x)
+    x = _check_point(objective, x, scheme)
     exact = rosenbrock2d_grad(x)
     records = []
     k = 0
@@ -269,12 +270,12 @@ def run_hessian_demo(function, dim, seed=0):
     the Hessian there along the directions the run accumulated."""
     test_fn = _resolve_function(function, dim)
     seed = _integer(seed, "seed", least=0)
-    result, grad = _bfgs_run(test_fn, _draw_start(seed, 0, dim), FdScheme(), "smart")
+    result, grad = _bfgs_run(test_fn, _draw_start(seed, 0, test_fn.dim), FdScheme(), "smart")
     estimate = grad.estimator.smart_hessian(result.x_opt)
     eigenvalues = np.linalg.eigvalsh(estimate.values)
     return HessianDemo(
         function=test_fn.name,
-        dim=dim,
+        dim=test_fn.dim,
         x_opt=result.x_opt,
         f_opt=result.f_opt,
         reason=result.reason,

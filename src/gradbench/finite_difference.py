@@ -3,6 +3,10 @@ Hessians, along the canonical axes or the columns of a supplied basis.
 
 All gradient entry points funnel through one stencil routine, so an estimate
 taken in the identity basis is bit-for-bit the plain canonical estimate.
+Each entry checks what it is given once, through _check_point, before any
+evaluation: the scheme must be an FdScheme, the objective an ObjectiveFn,
+the point a finite vector of the objective's dimension and the basis, if
+the entry takes one, a BasisMatrix of that dimension.
 Each stencil's points are stacked into one C-contiguous matrix, one point
 per row, and evaluated by ObjectiveFn.eval_rows, which hands a batched
 objective the rows in blocks.
@@ -50,10 +54,19 @@ def _number(value, name):
         return math.inf if value > 0 else -math.inf
 
 
-def _wrong_point(dim, shape, what="a point"):
-    """The error for a point (or direction) whose shape is not (dim,), from
-    ObjectiveFn and _check_point alike."""
-    return ValueError(f"expected {what} of shape ({dim},), got shape {shape}")
+def _wrong_point(dim, shape):
+    """The error for a point whose shape is not (dim,), from ObjectiveFn and
+    _check_point alike."""
+    return ValueError(f"expected a point of shape ({dim},), got shape {shape}")
+
+
+def _scalar(value):
+    """value, an objective's value at one point, as a Python float;
+    ValueError, naming its shape, unless it is 0-d.  numpy's own float()
+    of a one-element array is deprecated, or an error, by version."""
+    if np.shape(value):
+        raise ValueError(f"objective returned shape {np.shape(value)} for one point, not a scalar")
+    return float(value)
 
 
 class IllConditionedBasisError(ValueError):
@@ -119,19 +132,18 @@ class ObjectiveFn:
         if x.shape != self._shape:
             raise _wrong_point(self.dim, x.shape)
         self.eval_count += 1
-        return float(self._fn(x))
+        return _scalar(self._fn(x))
 
     def _line(self, x, d):
-        """phi(t) = f(x + t d) as a Python float, for x and d of shape (dim,)
-        checked once here, counting one evaluation per call: through the
+        """phi(t) = f(x + t d) as a Python float, for x of shape (dim,),
+        checked once here, and d of x's shape, which line_search, the one
+        caller, has checked; counts one evaluation per call.  Through the
         callable's _line form if it has one (with f's bits), else f itself."""
         x, d = np.asarray(x, float), np.asarray(d, float)
         if x.shape != self._shape:
             raise _wrong_point(self.dim, x.shape)
-        if d.shape != self._shape:
-            raise _wrong_point(self.dim, d.shape, "a direction")
         line = getattr(self._fn, "_line", None)
-        on_line = line(x, d) if line else lambda t: float(self._fn(x + t * d))
+        on_line = line(x, d) if line else lambda t: _scalar(self._fn(x + t * d))
 
         def phi(t):
             self.eval_count += 1
@@ -304,14 +316,28 @@ class Estimate:
     evals_used: int
 
 
-def _check_point(f, x, basis=None):
-    """x as a float array; ValueError unless it is a finite point of f's
-    dimension and `basis`, when given, has that dimension too."""
+def _objective(f):
+    """f; ValueError unless it is an ObjectiveFn."""
+    if not isinstance(f, ObjectiveFn):
+        raise ValueError(f"f must be an ObjectiveFn, got {f!r}")
+    return f
+
+
+def _check_point(f, x, scheme, basis=None):
+    """x as a float array: the one check of what a derivative entry takes.
+
+    ValueError, in this order, unless scheme is an FdScheme, f is an
+    ObjectiveFn, x is a finite point of f's dimension and `basis`, when
+    given, is a BasisMatrix of that dimension too.  Nothing is evaluated.
+    """
+    _check_scheme(scheme)
     x = np.asarray(x, float)
-    if x.shape != (f.dim,):
+    if x.shape != (_objective(f).dim,):
         raise _wrong_point(f.dim, x.shape)
     if not np.logical_and.reduce(np.isfinite(x)):  # .all() without its Python wrapper
         raise ValueError("x must be finite")
+    if basis is not None and not isinstance(basis, BasisMatrix):
+        raise ValueError(f"basis must be a BasisMatrix, got {type(basis).__name__}")
     if basis is not None and basis.dim != f.dim:
         raise ValueError("basis dimension does not match the objective")
     return x
@@ -319,8 +345,7 @@ def _check_point(f, x, basis=None):
 
 def directional_derivative(f, x, u, scheme=FdScheme()):
     """Finite-difference derivative of f at x along the unit vector u."""
-    _check_scheme(scheme)
-    x = _check_point(f, x)
+    x = _check_point(f, x, scheme)
     u = np.asarray(u, dtype=float)
     if u.shape != x.shape:
         raise ValueError("direction must match the dimension of x")
@@ -371,13 +396,12 @@ def gradient_in_basis(f, x, basis, scheme=FdScheme()):
     the plain product G @ inner (no linear solve); otherwise the dense
     system G^T y = inner is solved.
     """
-    _check_scheme(scheme)
-    x = _check_point(f, x, basis)
+    x = _check_point(f, x, scheme, basis)
     return _gradient_estimate(f, x, basis, scheme)
 
 
 def _gradient_estimate(f, x, basis, scheme):
-    """gradient_in_basis for a caller that has checked x and basis.dim."""
+    """gradient_in_basis for a caller that has checked its arguments."""
     before = f.eval_count
     values = _to_canonical(basis, _gradient_along_columns(f, x, basis.matrix, scheme))
     return Estimate(values=values, evals_used=f.eval_count - before)
@@ -394,7 +418,7 @@ def _to_canonical(basis, inner):
 
 def vanilla_gradient(f, x, scheme=FdScheme()):
     """Gradient estimate along the canonical axes (identity basis)."""
-    return gradient_in_basis(f, x, BasisMatrix._identity(f.dim), scheme)
+    return gradient_in_basis(f, x, BasisMatrix._identity(_objective(f).dim), scheme)
 
 
 @functools.lru_cache(maxsize=16)
@@ -449,10 +473,9 @@ def hessian_in_basis(f, x, basis, scheme=FdScheme()):
     n = 100 the traced peak of a call, f's own temporaries included, is
     about 20 MB, 1.27 times the points.
     """
-    _check_scheme(scheme)
+    x = _check_point(f, x, scheme, basis)
     if not basis.orthonormal:
         raise ValueError("hessian_in_basis requires an orthonormal basis")
-    x = _check_point(f, x, basis)
     n = basis.dim
     h = scheme.step
     cols = basis.matrix

@@ -73,9 +73,9 @@ def line_search(f, x, d, f0, g0):
     with safeguarded quadratic interpolation.  The curvature condition is
     checked with central differences of a -> f(x + a d), whose two points
     are evaluated one after the other; g0 is the gradient at x and gives
-    the slope at a = 0.  An ObjectiveFn checks x and d once and counts
-    each point (see ObjectiveFn._line); any other f is called as given at
-    x + a d, once per point.
+    the slope at a = 0.  An ObjectiveFn checks x against its dimension
+    once and counts each point (see ObjectiveFn._line); any other f is
+    called as given at x + a d, once per point.
 
     A trial step whose value is not finite (NaN or +-inf) fails the
     sufficient-decrease condition, so the search shrinks the step away

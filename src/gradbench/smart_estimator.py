@@ -6,11 +6,16 @@ takes finite differences along the resulting orthonormal directions before
 mapping the estimate back to canonical coordinates.  Until the first
 displacement is seen the basis is the identity, so the very first estimate
 coincides exactly with the canonical-basis one.
+
+A SmartEstimator refuses, with ValueError, a scheme that is not an FdScheme
+and an objective that is not an ObjectiveFn when it is built, and checks
+each query point as the finite_difference entries do, before it touches
+the history.
 """
 
 from .direction_history import DirectionHistory
 from .finite_difference import (
-    FdScheme, _check_point, _check_scheme, _gradient_estimate, hessian_in_basis,
+    FdScheme, _check_point, _check_scheme, _gradient_estimate, _objective, hessian_in_basis,
 )
 
 
@@ -24,7 +29,7 @@ class SmartEstimator:
     def __init__(self, objective, scheme=FdScheme()):
         self.objective = objective
         self.scheme = _check_scheme(scheme)
-        self.history = DirectionHistory(objective.dim)
+        self.history = DirectionHistory(_objective(objective).dim)
         self.last_x = None
 
     def smart_gradient(self, x):
@@ -37,7 +42,7 @@ class SmartEstimator:
         zero-step rule ignores, so the basis is left alone.  x is checked
         once, before it touches the history.
         """
-        x = _check_point(self.objective, x)
+        x = _check_point(self.objective, x, self.scheme)
         if self.last_x is not None:
             self.history.update(x - self.last_x)
         estimate = _gradient_estimate(self.objective, x, self.history.basis, self.scheme)

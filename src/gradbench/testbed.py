@@ -300,12 +300,16 @@ def grad_mse(estimate, exact):
 
     Reduces over the trailing axis: two vectors give a float, two (..., n)
     stacks an array of shape (...).  For C-contiguous stacks each entry has
-    the same bits as the call on that pair of rows alone.
+    the same bits as the call on that pair of rows alone.  ValueError unless
+    the shapes are equal and have a trailing axis of length >= 1: a 0-d
+    input has no axis to average over, and an empty one no entries.
     """
     e = np.asarray(estimate, dtype=float)
     t = np.asarray(exact, dtype=float)
     if e.shape != t.shape:
         raise ValueError("gradient vectors must have equal shapes")
+    if not e.shape or not e.shape[-1]:
+        raise ValueError(f"gradient vectors must have a non-empty last axis, got shape {e.shape}")
     diff = e - t
     mse = (diff * diff).mean(axis=-1)
     return float(mse) if mse.ndim == 0 else mse

@@ -11,6 +11,8 @@ reference_gradient_in_basis and reference_hessian_in_basis: the
 finite-difference stencils evaluated one point per call, in loops.  All are
 deliberately separate from the library's own objectives, stencils and
 orthonormalization so the two never share a code path.
+rank_correlation: Spearman's rank correlation for sequences without ties,
+in numpy.
 
 reference_history_step, reference_householder_q and
 reference_rotation_scan are the exceptions: the direction history's
@@ -274,3 +276,16 @@ def reference_rotation_scan(x, angle_step, scheme):
         )
         k += 1
     return records
+
+
+def rank_correlation(a, b):
+    """Spearman's rank correlation of two sequences without ties: the
+    Pearson correlation of their ranks, each rank the position of a value
+    in its sorted sequence.  Asserts that neither sequence has a tie, the
+    one case where ranks by position differ from Spearman's mid-ranks."""
+    ranks = []
+    for values in (a, b):
+        values = np.asarray(values, dtype=float)
+        assert np.unique(values).size == values.size, "tied values"
+        ranks.append(np.argsort(np.argsort(values)))
+    return float(np.corrcoef(*ranks)[0, 1])

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import stats
+from oracle import rank_correlation
 
 from gradbench import bench
 from gradbench.cli import _summary_lines
@@ -223,9 +223,7 @@ def test_criterion_7_rotation_scan_anticorrelation():
     # (equal mse at t and t + pi/2), so correlate over the error's own
     # fundamental domain [0, pi/2)
     half = [r for r in records if r.angle < np.pi / 2]
-    rho = stats.spearmanr(
-        [r.mse for r in half], [r.dir_grad_magnitude for r in half]
-    ).statistic
+    rho = rank_correlation([r.mse for r in half], [r.dir_grad_magnitude for r in half])
     report(7, f"Spearman(mse, |leading directional derivative|) = {rho:.3f} < -0.3",
            rho < -0.3)
 

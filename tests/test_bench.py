@@ -4,8 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from oracle import reference_rotation_scan
-from scipy import stats
+from oracle import rank_correlation, reference_rotation_scan
 
 from gradbench import bench, testbed
 from gradbench.bench import BenchRecord
@@ -218,6 +217,24 @@ class TestRunComparison:
         assert (repr(bench.run_hessian_demo("rosenbrock2d", 2, seed=np.uint8(1)))
                 == repr(bench.run_hessian_demo("rosenbrock2d", 2, seed=1)))
 
+    @pytest.mark.parametrize("run", [bench.run_comparison, bench.run_hessian_demo],
+                             ids=["run_comparison", "run_hessian_demo"])
+    def test_test_function_refuses_a_dim_that_is_not_an_integer(self, objectives, run):
+        # 3.0 == tf.dim, but a race draws its starts with the dimension
+        tf = get_test_function("rosenbrock-chained", 3)
+        with pytest.raises(ValueError, match=r"^dim must be an integer, got 3\.0$"):
+            run(tf, 3.0)
+        assert objectives == []
+
+    @pytest.mark.parametrize("function", [
+        "rosenbrock-chained", get_test_function("rosenbrock-chained", 3),
+    ], ids=["name", "TestFunction"])
+    def test_numpy_integer_dim_gives_int_records(self, function):
+        records = bench.run_comparison(function, np.int64(3), reps=1, seed=0)
+        assert {type(r.dim) for r in records} == {int}
+        assert records == bench.run_comparison("rosenbrock-chained", 3, reps=1, seed=0)
+        assert type(bench.run_hessian_demo(function, np.int64(3)).dim) is int
+
 
 class TestBenchRecord:
     def test_slotted_but_still_a_frozen_value(self):
@@ -315,8 +332,7 @@ class TestRotationScan:
         # over the mse's own fundamental domain [0, pi/2)
         records = bench.run_rotation_scan(angle_step=np.pi / 200)
         half = [r for r in records if r.angle < np.pi / 2]
-        rho = stats.spearmanr([r.mse for r in half],
-                              [r.dir_grad_magnitude for r in half]).statistic
+        rho = rank_correlation([r.mse for r in half], [r.dir_grad_magnitude for r in half])
         assert rho < -0.3
 
     @pytest.mark.parametrize("scheme, stencil", [

@@ -58,7 +58,8 @@ def _family_point(name, dim, seed):
     return tf, tf.optimum + 0.5 * rng.standard_normal(dim), rng
 
 
-@pytest.mark.parametrize("estimate", [
+# Every derivative entry, as estimate(f, x, scheme).
+EVERY_ESTIMATE = pytest.mark.parametrize("estimate", [
     lambda f, x, scheme: gradient_in_basis(f, x, BasisMatrix.identity(2), scheme),
     lambda f, x, scheme: vanilla_gradient(f, x, scheme),
     lambda f, x, scheme: hessian_in_basis(f, x, BasisMatrix.identity(2), scheme),
@@ -67,12 +68,40 @@ def _family_point(name, dim, seed):
     lambda f, x, scheme: wrap(f, scheme)(x),
 ], ids=["gradient_in_basis", "vanilla_gradient", "hessian_in_basis",
         "directional_derivative", "SmartEstimator", "wrap"])
+
+
+@EVERY_ESTIMATE
 @pytest.mark.parametrize("scheme", ["central1", None, 1e-3])
 def test_scheme_refused_before_any_evaluation(estimate, scheme):
     f = ObjectiveFn(rosenbrock2d, 2)
     message = f"^scheme must be an FdScheme, got {re.escape(repr(scheme))}$"
     with pytest.raises(ValueError, match=message):
         estimate(f, X_BANANA, scheme)
+    assert f.eval_count == 0
+
+
+@EVERY_ESTIMATE
+def test_plain_function_refused_before_any_evaluation(estimate):
+    # an ObjectiveFn carries the dimension and the count; a bare callable
+    # has neither and is refused by name, not by a missing attribute
+    calls = []
+
+    def fn(x):
+        calls.append(x)
+        return rosenbrock2d(x)
+
+    with pytest.raises(ValueError, match="^f must be an ObjectiveFn, got <function "):
+        estimate(fn, X_BANANA, FdScheme())
+    assert calls == []
+
+
+@pytest.mark.parametrize("estimate", [gradient_in_basis, hessian_in_basis])
+@pytest.mark.parametrize("basis", [np.eye(2), np.eye(2).tolist()], ids=["ndarray", "list"])
+def test_basis_that_is_not_a_basis_matrix_refused_before_any_evaluation(estimate, basis):
+    f = ObjectiveFn(rosenbrock2d, 2)
+    message = f"^basis must be a BasisMatrix, got {type(basis).__name__}$"
+    with pytest.raises(ValueError, match=message):
+        estimate(f, X_BANANA, basis, FdScheme())
     assert f.eval_count == 0
 
 
@@ -158,6 +187,20 @@ class TestObjectiveFn:
         assert str(refused.value) == f"expected a point of shape (5,), got shape {shape}"
         assert f.eval_count == 0
 
+    # numpy's float() of a one-element array warns or raises by version;
+    # every path that takes one value per call names the shape instead
+    @pytest.mark.parametrize("evaluate", [
+        lambda f, x: f(x),
+        lambda f, x: f.eval_rows(np.stack([x, x])),
+        lambda f, x: f._line(x, np.ones(3))(0.5),
+    ], ids=["call", "eval_rows", "line"])
+    @pytest.mark.parametrize("shape", [(2,), (1,)])
+    def test_a_value_that_is_not_a_scalar_is_refused(self, evaluate, shape):
+        f = ObjectiveFn(lambda x: np.full(shape, x.sum()), 3)
+        with pytest.raises(ValueError) as refused:
+            evaluate(f, np.zeros(3))
+        assert str(refused.value) == f"objective returned shape {shape} for one point, not a scalar"
+
     @pytest.mark.parametrize("batched", [False, True], ids=["plain", "user-batched"])
     def test_line_without_a_line_form_evaluates_its_points(self, batched):
         # a callable without a line form gets each point x + t * d as a
@@ -185,8 +228,6 @@ class TestObjectiveFn:
     @pytest.mark.parametrize("x_shape, d_shape, message", [
         ((4,), (5,), "expected a point of shape (5,), got shape (4,)"),
         ((1, 5), (5,), "expected a point of shape (5,), got shape (1, 5)"),
-        ((5,), (6,), "expected a direction of shape (5,), got shape (6,)"),
-        ((5,), (5, 1), "expected a direction of shape (5,), got shape (5, 1)"),
     ])
     def test_a_line_of_the_wrong_shape_is_refused_uncounted(self, fn, x_shape, d_shape, message):
         f = ObjectiveFn(fn, 5)

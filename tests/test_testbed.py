@@ -460,6 +460,18 @@ class TestGradMse:
         with pytest.raises(ValueError):
             grad_mse([1.0, 2.0], [1.0])
 
+    @pytest.mark.parametrize("estimate, exact, shape", [
+        (1.0, 2.0, r"\(\)"), ([], [], r"\(0,\)"), (np.zeros((3, 0)), np.zeros((3, 0)), r"\(3, 0\)"),
+    ], ids=["0-d", "empty", "empty-rows"])
+    def test_nothing_to_average_rejected(self, estimate, exact, shape):
+        # numpy would raise AxisError for a 0-d input, and warn "Mean of
+        # empty slice" and give nan for an empty last axis
+        with pytest.raises(ValueError, match=f"non-empty last axis, got shape {shape}$"):
+            grad_mse(estimate, exact)
+
+    def test_empty_stack_of_vectors_gives_no_values(self):
+        assert grad_mse(np.zeros((0, 3)), np.zeros((0, 3))).shape == (0,)
+
 
 class TestRegistry:
     def test_all_names_resolve(self):
