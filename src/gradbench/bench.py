@@ -116,11 +116,11 @@ def _draw_start(seed, rep, dim):
 
 def _resolve_function(function, dim):
     """The TestFunction `function` names, or `function` itself; ValueError
-    unless dim is an integer >= 1 that is its dimension.  Callers take the
-    dimension from what this returns, not from dim, which may be a numpy
-    integer."""
+    unless dim is an integer >= 1 that is its dimension, and a supplied
+    TestFunction's own dim an integer too.  Callers take the dimension from
+    what this returns, not from dim, which may be a numpy integer."""
     if isinstance(function, TestFunction):
-        if function.dim != _integer(dim, "dim"):
+        if _integer(function.dim, "dim") != _integer(dim, "dim"):
             raise ValueError("dim does not match the supplied test function")
         return function
     return get_test_function(function, dim)

@@ -323,7 +323,10 @@ def _objective(f):
     return f
 
 
-def _check_point(f, x, scheme, basis=None):
+_NO_BASIS = object()  # _check_point's default, so that a None basis is refused
+
+
+def _check_point(f, x, scheme, basis=_NO_BASIS):
     """x as a float array: the one check of what a derivative entry takes.
 
     ValueError, in this order, unless scheme is an FdScheme, f is an
@@ -336,9 +339,9 @@ def _check_point(f, x, scheme, basis=None):
         raise _wrong_point(f.dim, x.shape)
     if not np.logical_and.reduce(np.isfinite(x)):  # .all() without its Python wrapper
         raise ValueError("x must be finite")
-    if basis is not None and not isinstance(basis, BasisMatrix):
+    if basis is not _NO_BASIS and not isinstance(basis, BasisMatrix):
         raise ValueError(f"basis must be a BasisMatrix, got {type(basis).__name__}")
-    if basis is not None and basis.dim != f.dim:
+    if basis is not _NO_BASIS and basis.dim != f.dim:
         raise ValueError("basis dimension does not match the objective")
     return x
 

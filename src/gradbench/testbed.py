@@ -38,18 +38,21 @@ x_i + t * d_i, the two roundings of numpy's x + t * d, applies the array
 path's operations in its order and adds the terms first to last from a
 running sum that starts at 0.0, which adds exactly: each term is a sum of
 two squares, so never -0.0.  A lone point's analytic gradient (a 1-D
-argument) is taken in Python floats the same way for rosenbrock-chained
-and freudenstein-roth, the two families whose lone gradients the hessian
-benchmark's set-up takes; a chained entry is (0.0 + da[k]) + db[k - 1], as
-the array path adds the two partials into zeros.  The other families' lone
-gradients take the array path, with the same bits.  A numpy ufunc call
-costs about a microsecond of dispatch, more than a point's arithmetic: a
-point on a line took 0.7 us (rosenbrock-chained, n = 5) and 2.9 us
-(freudenstein-roth, n = 26), against 2.8 and 4.9 us as
-ObjectiveFn(x + t * d); a lone gradient 2.1 and 7.8 us, against
-7.6 and 17.6 us on the array path (2 vCPU, Python 3.11, numpy 2.4).  A
-lone value, and a point on a line or a lone gradient that is not finite,
-take the array path, which keeps numpy's RuntimeWarnings and np.errstate.
+argument) is taken in Python floats the same way for freudenstein-roth
+only, whose array path takes about twice the loop's time, where a
+Rosenbrock family's takes under a microsecond more; the hessian
+benchmark's set-up takes 2n lone gradients per reference Hessian.  The
+other families' lone gradients take the array path, with the same bits.
+A numpy ufunc call costs about a microsecond of dispatch, more than a
+point's arithmetic: a point on a line took 0.7 us (rosenbrock-chained,
+n = 5) and 2.9 us (freudenstein-roth, n = 26), against 2.8 and 4.9 us as
+ObjectiveFn(x + t * d); a lone freudenstein-roth gradient at n = 26 took
+6.7-7.0 us, against 14.1-15.0 us on the array path, and a lone
+rosenbrock-chained one at n = 25 5.8-6.0 us on the array path, against
+5.2-5.3 us in Python floats (2 vCPU, Python 3.11, numpy 2.4).  A lone
+value, and a point on a line or a lone freudenstein-roth gradient that is
+not finite, take the array path, which keeps numpy's RuntimeWarnings and
+np.errstate.
 A NaN value and its batch row's are NaN together but may differ in sign,
 as numpy's add loops do not all return the same one of two NaN operands.
 """
@@ -154,26 +157,10 @@ def _rosenbrock_line(x, d, step):
 def _rosenbrock_grad(x, step):
     """The gradient of _rosenbrock(x, step): each pair's two partial
     derivatives added into zeros, where pairs share a coordinate (step 1)
-    one after the other.  A lone point at step 1 is taken in Python floats
-    (see the module docstring); every other point takes the array path."""
-    if x.ndim == 1 and step == 1:
-        v = x.tolist()
-        g = []
-        # the array path's g[k] = (0.0 + da[k]) + db[k - 1]; db before the
-        # first pair is -0.0, which adds exactly to 0.0 + da
-        db = -0.0
-        for a, b in zip(v, v[1:]):
-            t = b - a * a
-            g.append((0.0 + (-400.0 * a * t - 2.0 * (1.0 - a))) + db)
-            db = 200.0 * t
-        g.append(0.0 + db)
-        # finite entries whose sum is finite; any others take the array
-        # path, which gives the same bits with numpy's warnings
-        if math.isfinite(sum(g)):
-            return np.array(g)
+    one after the other.  A lone point takes the same path as a batch."""
     a, b = x[..., :-1:step], x[..., 1::step]
     t = b - a * a
-    g = np.zeros_like(x)
+    g = np.zeros(x.shape)
     g[..., :-1:step] += -400.0 * a * t - 2.0 * (1.0 - a)
     g[..., 1::step] += 200.0 * t
     return g
@@ -223,7 +210,8 @@ def _freudenstein_roth_line(x, d, _):
 
 
 def _freudenstein_roth_grad(x, _):
-    """The gradient of _freudenstein_roth: each pair's two partials."""
+    """The gradient of _freudenstein_roth: each pair's two partials.  A
+    lone point is taken in Python floats (see the module docstring)."""
     if x.ndim == 1:
         v = x.tolist()
         g = []
@@ -240,7 +228,7 @@ def _freudenstein_roth_grad(x, _):
     a, b = x[..., 0::2], x[..., 1::2]
     r1 = -13.0 + a + b * (b * (5.0 - b) - 2.0)
     r2 = -29.0 + a + b * (b * (b + 1.0) - 14.0)
-    g = np.empty_like(x)
+    g = np.empty(x.shape)
     g[..., 0::2] = 2.0 * (r1 + r2)
     g[..., 1::2] = 2.0 * r1 * (10.0 * b - 3.0 * b * b - 2.0) + 2.0 * r2 * (
         3.0 * b * b + 2.0 * b - 14.0

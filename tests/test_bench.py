@@ -226,6 +226,17 @@ class TestRunComparison:
             run(tf, 3.0)
         assert objectives == []
 
+    @pytest.mark.parametrize("run", [bench.run_comparison, bench.run_hessian_demo],
+                             ids=["run_comparison", "run_hessian_demo"])
+    @pytest.mark.parametrize("bad_dim, dim", [(3.0, 3), (True, 1)], ids=["float", "bool"])
+    def test_test_function_of_a_dim_that_is_not_an_integer_refused(
+            self, objectives, run, bad_dim, dim):
+        # bad_dim == dim, so only the TestFunction's own dim is at fault
+        tf = dataclasses.replace(get_test_function("rosenbrock-chained", 3), dim=bad_dim)
+        with pytest.raises(ValueError, match=rf"^dim must be an integer, got {bad_dim}$"):
+            run(tf, dim)
+        assert objectives == []
+
     @pytest.mark.parametrize("function", [
         "rosenbrock-chained", get_test_function("rosenbrock-chained", 3),
     ], ids=["name", "TestFunction"])

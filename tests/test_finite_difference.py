@@ -96,7 +96,8 @@ def test_plain_function_refused_before_any_evaluation(estimate):
 
 
 @pytest.mark.parametrize("estimate", [gradient_in_basis, hessian_in_basis])
-@pytest.mark.parametrize("basis", [np.eye(2), np.eye(2).tolist()], ids=["ndarray", "list"])
+@pytest.mark.parametrize("basis", [np.eye(2), np.eye(2).tolist(), None],
+                         ids=["ndarray", "list", "None"])
 def test_basis_that_is_not_a_basis_matrix_refused_before_any_evaluation(estimate, basis):
     f = ObjectiveFn(rosenbrock2d, 2)
     message = f"^basis must be a BasisMatrix, got {type(basis).__name__}$"
