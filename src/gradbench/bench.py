@@ -31,7 +31,7 @@ from .finite_difference import (
     _to_canonical,
     vanilla_gradient,
 )
-from .optimizer import OptimResult, bfgs_minimize
+from .optimizer import bfgs_minimize
 from .smart_estimator import wrap
 from .testbed import TestFunction, get_test_function, grad_mse, rosenbrock2d, rosenbrock2d_grad
 
@@ -87,25 +87,6 @@ class Summary:
     improvement: float
     vanilla_records: int
     smart_records: int
-
-
-@dataclass(frozen=True)
-class HessianDemo:
-    """Result of driving BFGS to a mode and estimating the Hessian there.
-
-    reason is the run's OptimResult.reason, why BFGS stopped.
-    """
-
-    function: str
-    dim: int
-    x_opt: np.ndarray
-    f_opt: float
-    reason: str
-    hessian: np.ndarray
-    eig_min: float
-    eig_max: float
-
-    converged = OptimResult.converged  # the same test of reason
 
 
 def _draw_start(seed, rep, dim):
@@ -267,22 +248,17 @@ def run_rotation_scan(x=DEFAULT_ROTATION_POINT, angle_step=DEFAULT_ANGLE_STEP,
 
 def run_hessian_demo(function, dim, seed=0):
     """Drive BFGS to the mode with history-basis gradients, then estimate
-    the Hessian there along the directions the run accumulated."""
+    the Hessian there along the directions the run accumulated.
+
+    Returns (result, estimate): the run's OptimResult, whose reason says
+    why BFGS stopped, and the Hessian's Estimate at result.x_opt.  The run
+    starts from rep 0's draw for `seed`; `function` and dim are taken as
+    run_comparison takes them.
+    """
     test_fn = _resolve_function(function, dim)
     seed = _integer(seed, "seed", least=0)
     result, grad = _bfgs_run(test_fn, _draw_start(seed, 0, test_fn.dim), FdScheme(), "smart")
-    estimate = grad.estimator.smart_hessian(result.x_opt)
-    eigenvalues = np.linalg.eigvalsh(estimate.values)
-    return HessianDemo(
-        function=test_fn.name,
-        dim=test_fn.dim,
-        x_opt=result.x_opt,
-        f_opt=result.f_opt,
-        reason=result.reason,
-        hessian=estimate.values,
-        eig_min=float(eigenvalues[0]),
-        eig_max=float(eigenvalues[-1]),
-    )
+    return result, grad.estimator.smart_hessian(result.x_opt)
 
 
 class _CsvFields(dict):

@@ -121,15 +121,16 @@ def _cmd_rotate(parser, args):
 def _cmd_hessian(parser, args):
     test_fn = _or_die(parser, get_test_function, args.function, args.dim)
     _or_die(parser, _integer, args.seed, "seed", least=0)
-    demo = bench.run_hessian_demo(test_fn, args.dim, seed=args.seed)
-    print(f"function: {demo.function}  dim: {demo.dim}  seed: {args.seed}")
-    print(f"converged: {demo.converged}")
-    print(f"stop reason: {demo.reason}")
-    print(f"mode: {np.array2string(demo.x_opt, precision=8)}")
-    print(f"f at mode: {demo.f_opt:.8e}")
+    result, estimate = bench.run_hessian_demo(test_fn, args.dim, seed=args.seed)
+    eigenvalues = np.linalg.eigvalsh(estimate.values)
+    print(f"function: {test_fn.name}  dim: {test_fn.dim}  seed: {args.seed}")
+    print(f"converged: {result.converged}")
+    print(f"stop reason: {result.reason}")
+    print(f"mode: {np.array2string(result.x_opt, precision=8)}")
+    print(f"f at mode: {result.f_opt:.8e}")
     print("hessian estimate at mode:")
-    print(np.array2string(demo.hessian, precision=6, suppress_small=False))
-    print(f"eigenvalue range: [{demo.eig_min:.6g}, {demo.eig_max:.6g}]")
+    print(np.array2string(estimate.values, precision=6, suppress_small=False))
+    print(f"eigenvalue range: [{eigenvalues[0]:.6g}, {eigenvalues[-1]:.6g}]")
 
 
 def _cmd_summarize(parser, args):

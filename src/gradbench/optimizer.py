@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .finite_difference import ObjectiveFn, _integer, _number
+from .finite_difference import ObjectiveFn, _integer, _number, _scalar
 
 WOLFE_C1 = 1e-4
 WOLFE_C2 = 0.9
@@ -39,27 +39,40 @@ class LineSearchError(RuntimeError):
 
 @dataclass(frozen=True)
 class BfgsOptions:
+    """The run's budget and tolerance, kept as a Python int and float: a
+    numpy scalar would compare in its own dtype under numpy 2, so a float16
+    grad_tol would let a gradient above it pass."""
+
     max_iters: int = 200
     grad_tol: float = 1e-6
 
     def __post_init__(self):
         # an integer, as a dimension is: a float would run the loop to its
         # next integer up, and True as 1
-        _integer(self.max_iters, "max_iters")
-        if not _number(self.grad_tol, "grad_tol") >= 0.0:
+        object.__setattr__(self, "max_iters", _integer(self.max_iters, "max_iters"))
+        grad_tol = _number(self.grad_tol, "grad_tol")
+        if not grad_tol >= 0.0:
             raise ValueError("grad_tol must be a non-negative number")
+        object.__setattr__(self, "grad_tol", grad_tol)
 
 
 @dataclass
 class OptimResult:
+    """A BFGS run: its last iterate and value, every accepted iterate with
+    the gradient the callback gave there, and why it stopped.  iterations
+    is read from the trajectory: the accepted steps after the start."""
+
     x_opt: np.ndarray
     f_opt: float
-    iterations: int
     trajectory: np.ndarray  # accepted iterates, row 0 is the starting point
     gradients: np.ndarray  # row i is what the gradient callback gave at trajectory[i]
     # why the run stopped: "grad_tol", "max_iters", "non_finite" or
     # "line_search: <message>"
     reason: str
+
+    @property
+    def iterations(self):
+        return len(self.trajectory) - 1
 
     @property
     def converged(self):
@@ -75,7 +88,8 @@ def line_search(f, x, d, f0, g0):
     are evaluated one after the other; g0 is the gradient at x and gives
     the slope at a = 0.  An ObjectiveFn checks x against its dimension
     once and counts each point (see ObjectiveFn._line); any other f is
-    called as given at x + a d, once per point.
+    called as given at x + a d, once per point, and its value taken as a
+    Python float, ValueError unless it is 0-d, as ObjectiveFn does.
 
     A trial step whose value is not finite (NaN or +-inf) fails the
     sufficient-decrease condition, so the search shrinks the step away
@@ -97,7 +111,7 @@ def line_search(f, x, d, f0, g0):
     dphi0 = float(np.vdot(d, g0))
     if not -math.inf < dphi0 < 0.0:  # NaN is not a descent slope either
         raise ValueError(_slope_fault(dphi0))
-    phi = f._line(x, d) if isinstance(f, ObjectiveFn) else lambda a: f(x + a * d)
+    phi = f._line(x, d) if isinstance(f, ObjectiveFn) else lambda a: _scalar(f(x + a * d))
 
     def dphi(a):
         step = _CURVATURE_FD_STEP * max(1.0, abs(a))
@@ -218,7 +232,10 @@ def bfgs_minimize(f, grad, x0, opts=None):
     so large that its slope overflows to -inf.
     `reason` records which test stopped the run.  A gradient whose shape is
     not x0's raises ValueError, and so does, before any evaluation, an opts
-    that is neither None nor a BfgsOptions.
+    that is neither None nor a BfgsOptions.  f's value is taken as a Python
+    float at every point, ValueError unless it is 0-d, as ObjectiveFn does,
+    so f_opt is a float.  Each accepted iterate is one trajectory row; the
+    run's iterations are counted from it.
     """
     if opts is None:
         opts = BfgsOptions()
@@ -229,15 +246,13 @@ def bfgs_minimize(f, grad, x0, opts=None):
         raise ValueError(f"x0 must be a non-empty vector, got shape {x.shape}")
     if not np.isfinite(x).all():
         raise ValueError("x0 must be finite")
-    n = x.size
-    fx = f(x)
+    fx = _scalar(f(x))
     g = _gradient(grad, x)
-    trajectory = [x.copy()]
+    trajectory = [x]
     gradients = [g]
-    eye = H = np.eye(n)
-    iterations = 0
+    eye = H = np.eye(x.size)
     reason = _stop_reason(fx, g, opts.grad_tol)
-    while reason is None and iterations < opts.max_iters:
+    while reason is None and len(trajectory) <= opts.max_iters:
         d = -H.dot(g)
         if not -math.inf < float(np.vdot(g, d)) < 0.0:
             # rounding broke positive definiteness, or the slope overflowed;
@@ -256,9 +271,8 @@ def bfgs_minimize(f, grad, x0, opts=None):
             break
         x_new = x + alpha * d
         g_new = _gradient(grad, x_new)
-        trajectory.append(x_new.copy())
+        trajectory.append(x_new)
         gradients.append(g_new)
-        iterations += 1
         reason = _stop_reason(f_new, g_new, opts.grad_tol)
         if reason is None:
             s = x_new - x
@@ -272,7 +286,6 @@ def bfgs_minimize(f, grad, x0, opts=None):
     return OptimResult(
         x_opt=x,
         f_opt=fx,
-        iterations=iterations,
         trajectory=np.array(trajectory),
         gradients=np.array(gradients),
         reason=reason or "max_iters",

@@ -8,8 +8,10 @@ from oracle import rank_correlation, reference_rotation_scan
 
 from gradbench import bench, testbed
 from gradbench.bench import BenchRecord
-from gradbench.finite_difference import SCHEME_NAMES, FdScheme, ObjectiveFn, vanilla_gradient
-from gradbench.optimizer import bfgs_minimize
+from gradbench.finite_difference import (
+    SCHEME_NAMES, Estimate, FdScheme, ObjectiveFn, vanilla_gradient,
+)
+from gradbench.optimizer import OptimResult, bfgs_minimize
 from gradbench.smart_estimator import wrap
 from gradbench.testbed import (
     TestFunction,
@@ -244,7 +246,8 @@ class TestRunComparison:
         records = bench.run_comparison(function, np.int64(3), reps=1, seed=0)
         assert {type(r.dim) for r in records} == {int}
         assert records == bench.run_comparison("rosenbrock-chained", 3, reps=1, seed=0)
-        assert type(bench.run_hessian_demo(function, np.int64(3)).dim) is int
+        assert (repr(bench.run_hessian_demo(function, np.int64(3)))
+                == repr(bench.run_hessian_demo("rosenbrock-chained", 3)))
 
 
 class TestBenchRecord:
@@ -382,10 +385,10 @@ class TestRotationScan:
 
 class TestHessianDemo:
     def test_banana_mode(self):
-        demo = bench.run_hessian_demo("rosenbrock2d", 2, seed=0)
+        _, estimate = bench.run_hessian_demo("rosenbrock2d", 2, seed=0)
         target = np.array([[802.0, -400.0], [-400.0, 200.0]])
-        np.testing.assert_allclose(demo.hessian, target, rtol=1e-2)
-        assert demo.eig_min > 0.0
+        np.testing.assert_allclose(estimate.values, target, rtol=1e-2)
+        assert np.linalg.eigvalsh(estimate.values)[0] > 0.0
 
     def test_quadratic_recovers_matrix(self):
         A = np.array([[2.0, 1.0], [1.0, 3.0]])
@@ -393,18 +396,19 @@ class TestHessianDemo:
                           lambda x: 0.5 * float(np.asarray(x) @ A @ np.asarray(x)),
                           lambda x: A @ np.asarray(x),
                           np.zeros(2))
-        demo = bench.run_hessian_demo(tf, 2, seed=1)
-        np.testing.assert_allclose(demo.hessian, A, atol=1e-6)
+        _, estimate = bench.run_hessian_demo(tf, 2, seed=1)
+        np.testing.assert_allclose(estimate.values, A, atol=1e-6)
 
     def test_reports_why_bfgs_stopped(self):
-        demo = bench.run_hessian_demo("rosenbrock-chained", 5, seed=0)
-        assert not demo.converged
-        assert demo.reason == "line_search: zoom interval collapsed"
+        result, estimate = bench.run_hessian_demo("rosenbrock-chained", 5, seed=0)
+        assert isinstance(result, OptimResult) and isinstance(estimate, Estimate)
+        assert not result.converged
+        assert result.reason == "line_search: zoom interval collapsed"
 
     def test_paired_residual_mode_is_positive_definite(self):
-        demo = bench.run_hessian_demo("freudenstein-roth", 2, seed=0)
-        assert demo.eig_min > 0.0
-        assert demo.hessian.shape == (2, 2)
+        _, estimate = bench.run_hessian_demo("freudenstein-roth", 2, seed=0)
+        assert np.linalg.eigvalsh(estimate.values)[0] > 0.0
+        assert estimate.values.shape == (2, 2)
 
 
 class TestCsvIO:

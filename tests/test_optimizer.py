@@ -60,6 +60,22 @@ class TestBfgsOptions:
     def test_numpy_integer_max_iters_accepted(self):
         assert BfgsOptions(max_iters=np.int64(3)).max_iters == 3
 
+    def test_fields_kept_as_a_python_int_and_float(self):
+        opts = BfgsOptions(max_iters=np.int64(3), grad_tol=np.float16(1e-3))
+        assert type(opts.max_iters) is int and type(opts.grad_tol) is float
+        assert opts.grad_tol == float(np.float16(1e-3))
+
+    def test_a_float16_grad_tol_compares_in_float64(self):
+        # |g| is 3e-7 above the tolerance; float16, whose spacing there is
+        # 9.5e-7, would round it to the tolerance itself
+        tol = np.float16(1e-3)
+        g = np.array([float(tol) + 3e-7, 0.0])
+        # a linear objective: only its start could pass the gradient test
+        res = bfgs_minimize(lambda x: float(g @ x), lambda x: g, np.zeros(2),
+                            BfgsOptions(grad_tol=tol))
+        assert not res.converged
+        assert res.reason == "line_search: no bracket found after 50 expansions"
+
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -462,6 +478,32 @@ class TestBfgsMinimize:
         with pytest.raises(ValueError, match="x0 must be a non-empty vector"):
             bfgs_minimize(f, grad, x0)
         assert calls == []
+
+
+class TestObjectiveValues:
+    # the message ObjectiveFn gives for a value that is not 0-d
+    NOT_A_SCALAR = r"^objective returned shape \(1,\) for one point, not a scalar$"
+
+    @staticmethod
+    def one_element(x):
+        return np.array([x @ x])
+
+    def test_bfgs_refuses_a_value_that_is_not_a_scalar(self):
+        with pytest.raises(ValueError, match=self.NOT_A_SCALAR):
+            ObjectiveFn(self.one_element, 2)(np.ones(2))
+        with pytest.raises(ValueError, match=self.NOT_A_SCALAR):
+            bfgs_minimize(self.one_element, lambda x: 2 * x, [1.0, 2.0])
+
+    def test_line_search_refuses_a_value_that_is_not_a_scalar(self):
+        x = np.array([1.0, 2.0])
+        with pytest.raises(ValueError, match=self.NOT_A_SCALAR):
+            line_search(self.one_element, x, -2 * x, 5.0, 2 * x)
+
+    @pytest.mark.parametrize("x0", [[0.0, 0.0], [1.0, 2.0]], ids=["start", "run"])
+    def test_float32_values_give_a_float_f_opt(self, x0):
+        # at the start f_opt is the start value, after a run a line-search value
+        res = bfgs_minimize(lambda x: np.float32(x @ x), lambda x: 2 * x, x0)
+        assert type(res.f_opt) is float
 
 
 class TestNonFiniteValues:
