@@ -7,8 +7,11 @@ with one-dimensional central differences along the search ray.  This keeps
 stateful gradient callbacks fed with genuine accepted steps, and the run
 returns what the callback gave at each iterate beside the iterate itself.
 Like a trial step, each such difference's two points are evaluated one by
-one: given an ObjectiveFn, on the search's ray through ObjectiveFn._line,
-where a test function sums them in Python floats (see testbed).
+one, on the search's ray through ObjectiveFn._line, where a test function
+sums them in Python floats (see testbed).  Both entries put a plain callable
+behind an ObjectiveFn of the point's size, once, before any evaluation: every
+point is checked and every value, line_search's f0 included, is held to its
+0-d rule and taken as a Python float.
 
 The line-search constants are fixed at the standard quasi-Newton values
 (Nocedal & Wright, *Numerical Optimization*, 2nd ed., section 3.1):
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .finite_difference import ObjectiveFn, _integer, _number, _scalar
+from .finite_difference import ObjectiveFn, _integer, _number
 
 WOLFE_C1 = 1e-4
 WOLFE_C2 = 0.9
@@ -86,23 +89,26 @@ def line_search(f, x, d, f0, g0):
     with safeguarded quadratic interpolation.  The curvature condition is
     checked with central differences of a -> f(x + a d), whose two points
     are evaluated one after the other; g0 is the gradient at x and gives
-    the slope at a = 0.  An ObjectiveFn checks x against its dimension
-    once and counts each point (see ObjectiveFn._line); any other f is
-    called as given at x + a d, once per point, and its value taken as a
-    Python float, ValueError unless it is 0-d, as ObjectiveFn does.
+    the slope at a = 0.  A plain callable f is put behind an ObjectiveFn
+    of x's size; the ObjectiveFn checks x against its dimension once and
+    counts each point (see ObjectiveFn._line).
 
     A trial step whose value is not finite (NaN or +-inf) fails the
     sufficient-decrease condition, so the search shrinks the step away
     from it.
 
-    Returns (alpha, f(x + alpha d)).  Raises ValueError, before any
-    evaluation, when f0 is not finite, d or g0 has not x's shape, d is not
-    a descent direction or the slope d.g0 is not finite (-inf, when it
-    overflows), and LineSearchError when no acceptable step exists within
-    the iteration budget.
+    Returns (alpha, f(x + alpha d)) as Python floats.  Raises ValueError,
+    before any evaluation, when f0 is not a finite 0-d value, d or g0 has
+    not x's shape, d is not a descent direction, the slope d.g0 is not
+    finite (-inf, when it overflows) or x is not a vector, and
+    LineSearchError when no acceptable step exists within the iteration
+    budget.
     """
-    if not math.isfinite(f0):
-        raise ValueError(f"f0 must be finite, got {f0}")
+    # the 0-d rule of _scalar, with a message that names f0; np.shape costs
+    # 1 us more than this for a Python float, on every search of a run
+    if np.asarray(f0).shape or not math.isfinite(f0):
+        raise ValueError(f"f0 must be finite and 0-d, got {f0}")
+    f0 = float(f0)
     x, d, g0 = np.asarray(x, float), np.asarray(d, float), np.asarray(g0, float)
     if d.shape != x.shape:
         raise ValueError(f"d must have x's shape {x.shape}, got {d.shape}")
@@ -111,7 +117,7 @@ def line_search(f, x, d, f0, g0):
     dphi0 = float(np.vdot(d, g0))
     if not -math.inf < dphi0 < 0.0:  # NaN is not a descent slope either
         raise ValueError(_slope_fault(dphi0))
-    phi = f._line(x, d) if isinstance(f, ObjectiveFn) else lambda a: _scalar(f(x + a * d))
+    phi = (f if isinstance(f, ObjectiveFn) else ObjectiveFn(f, x.size))._line(x, d)
 
     def dphi(a):
         step = _CURVATURE_FD_STEP * max(1.0, abs(a))
@@ -232,10 +238,10 @@ def bfgs_minimize(f, grad, x0, opts=None):
     so large that its slope overflows to -inf.
     `reason` records which test stopped the run.  A gradient whose shape is
     not x0's raises ValueError, and so does, before any evaluation, an opts
-    that is neither None nor a BfgsOptions.  f's value is taken as a Python
-    float at every point, ValueError unless it is 0-d, as ObjectiveFn does,
-    so f_opt is a float.  Each accepted iterate is one trajectory row; the
-    run's iterations are counted from it.
+    that is neither None nor a BfgsOptions.  A plain callable f is put
+    behind an ObjectiveFn of x0's size, so each value is held to its 0-d
+    rule and f_opt is a float.  Each accepted iterate is one trajectory
+    row; the run's iterations are counted from it.
     """
     if opts is None:
         opts = BfgsOptions()
@@ -246,7 +252,8 @@ def bfgs_minimize(f, grad, x0, opts=None):
         raise ValueError(f"x0 must be a non-empty vector, got shape {x.shape}")
     if not np.isfinite(x).all():
         raise ValueError("x0 must be finite")
-    fx = _scalar(f(x))
+    f = f if isinstance(f, ObjectiveFn) else ObjectiveFn(f, x.size)
+    fx = f(x)
     g = _gradient(grad, x)
     trajectory = [x]
     gradients = [g]

@@ -215,7 +215,8 @@ class TestLineSearch:
     def test_batched_and_row_by_row_objectives_agree_bitwise(self, name, dim):
         # An ObjectiveFn of a test function sums the search's points on
         # their line in Python floats; a wrapper without the line form is
-        # called at x + a * d, and so is a plain callable.
+        # called at x + a * d, and so is a plain callable, which is put
+        # behind an ObjectiveFn of its own.
         tf = get_test_function(name, dim)
         rng = np.random.default_rng(7)
         for _ in range(20):
@@ -287,15 +288,22 @@ class TestLineSearchEvaluations:
 
         # marked batched, so that a batch of points would reach it as one call
         recording.batched = True
-        f = ObjectiveFn(recording, x.size)
+        # the bare callable is put behind an ObjectiveFn of its own, so both
+        # search along the one ray
+        objective = ObjectiveFn(recording, x.size)
+        results = []
+        for f in (recording, objective):
+            shapes.clear()
+            results.append(line_search(f, x, d, f0, g0))
+            # every evaluation is one lone point
+            assert shapes == [x.shape] * evals
+        assert objective.eval_count == evals
+        assert results[0] == results[1]
         # a relative 1e-12 leaves room for a BLAS kernel's own np.dot(g0, d)
-        assert line_search(f, x, d, f0, g0) == (
+        assert results[1] == (
             pytest.approx(float.fromhex(alpha), rel=1e-12),
             pytest.approx(float.fromhex(value), rel=1e-12),
         )
-        # every evaluation is one lone point
-        assert f.eval_count == evals
-        assert shapes == [x.shape] * evals
 
 
 class TestBfgsMinimize:
@@ -424,6 +432,10 @@ class TestBfgsMinimize:
         r1 = bfgs_minimize(f1, rosenbrock2d_grad, np.array([-1.2, 1.0]), BfgsOptions())
         r2 = bfgs_minimize(f2, rosenbrock2d_grad, np.array([-1.2, 1.0]), BfgsOptions())
         assert r1.trajectory.tobytes() == r2.trajectory.tobytes()
+        # the bare function is put behind an ObjectiveFn and reaches its own
+        # line form, with the same bits
+        bare = bfgs_minimize(rosenbrock2d, rosenbrock2d_grad, np.array([-1.2, 1.0]))
+        assert bare.trajectory.tobytes() == r1.trajectory.tobytes()
 
     # the quadratic 1/2 x.A x, with gradient A x
     A = np.diag([1.0, 10.0, 100.0])
@@ -498,6 +510,38 @@ class TestObjectiveValues:
         x = np.array([1.0, 2.0])
         with pytest.raises(ValueError, match=self.NOT_A_SCALAR):
             line_search(self.one_element, x, -2 * x, 5.0, 2 * x)
+
+    @staticmethod
+    def counted(calls):
+        """x.x, appending each point it is called at to calls."""
+        def f(x):
+            calls.append(x)
+            return float(np.sum(x * x))
+
+        return f
+
+    def test_line_search_refuses_a_start_value_that_is_not_a_scalar(self):
+        # f0 used to reach math.isfinite and die in numpy's TypeError
+        calls = []
+        x = np.array([1.0, 2.0])
+        with pytest.raises(ValueError, match=r"^f0 must be finite and 0-d, got \[5\.\]$"):
+            line_search(self.counted(calls), x, -2 * x, np.array([5.0]), 2 * x)
+        assert calls == []
+
+    def test_line_search_takes_a_float32_start_value_as_a_float(self):
+        # a float32 f0 used to carry its dtype into the step's fit
+        x = np.array([1.0, 2.0])
+        alpha, value = line_search(lambda z: float(z @ z), x, -2 * x, np.float32(5.0), 2 * x)
+        assert type(alpha) is float and type(value) is float
+        assert alpha == 0.5
+
+    def test_line_search_refuses_a_point_that_is_not_a_vector(self):
+        # a plain callable used to be called at each (2, 2) point
+        calls = []
+        x = np.array([[1.0, 2.0], [3.0, 4.0]])
+        with pytest.raises(ValueError, match=re.escape("expected a point of shape (4,), got shape (2, 2)")):
+            line_search(self.counted(calls), x, -2 * x, 30.0, 2 * x)
+        assert calls == []
 
     @pytest.mark.parametrize("x0", [[0.0, 0.0], [1.0, 2.0]], ids=["start", "run"])
     def test_float32_values_give_a_float_f_opt(self, x0):
