@@ -64,8 +64,9 @@ def _scalar(value):
     """value, an objective's value at one point, as a Python float;
     ValueError, naming its shape, unless it is 0-d.  numpy's own float()
     of a one-element array is deprecated, or an error, by version."""
-    if np.shape(value):
-        raise ValueError(f"objective returned shape {np.shape(value)} for one point, not a scalar")
+    shape = np.asarray(value).shape  # np.shape(1.0) raises and catches an error first
+    if shape:
+        raise ValueError(f"objective returned shape {shape} for one point, not a scalar")
     return float(value)
 
 
@@ -159,11 +160,15 @@ class ObjectiveFn:
         block at most _BLOCK_BYTES of points (max(1, _BLOCK_BYTES // (8 *
         dim)) rows).  Small blocks keep the callable's temporaries small
         enough for the allocator to reuse from call to call instead of
-        mapping and faulting them in anew.  A row-wise reduction sums each
-        row in the same order as a lone point, so the values equal those of
-        m single calls bit for bit, except that a NaN value's sign bit may
-        differ: numpy's add loops do not all return the same one of two NaN
-        operands.  Any other callable is called row by row.
+        mapping and faulting them in anew.  The values of a matrix that
+        fits in one block are a float copy of what the callable returns;
+        a larger matrix's blocks are each checked and then written, as
+        floats, into their slice of one array allocated up front.  A
+        row-wise reduction sums each row in the same order as a lone point,
+        so the values equal those of m single calls bit for bit, except
+        that a NaN value's sign bit may differ: numpy's add loops do not
+        all return the same one of two NaN operands.  Any other callable is
+        called row by row.
         """
         X = np.ascontiguousarray(X, float)
         if X.ndim != 2 or X.shape[1] != self.dim:
@@ -175,12 +180,17 @@ class ObjectiveFn:
         self.eval_count += m
         if m <= rows:
             return self._eval_block(X)
-        return np.concatenate([self._eval_block(X[s:s + rows]) for s in range(0, m, rows)])
+        values = np.empty(m)
+        for s in range(0, m, rows):
+            values[s:s + rows] = self._eval_block(X[s:s + rows], np.asarray)
+        return values
 
-    def _eval_block(self, X):
-        """The batched callable's values at the rows of X, as a fresh float
-        array; ValueError unless there is one value per row."""
-        values = np.array(self._fn(X), float)
+    def _eval_block(self, X, convert=np.array):
+        """The batched callable's values at the rows of X, as a float array
+        made by `convert`: a fresh one by default, while np.asarray, for a
+        caller that copies them on, may return the callable's own; ValueError
+        unless there is one value per row."""
+        values = convert(self._fn(X), float)
         if values.shape != (len(X),):
             raise ValueError(f"batched objective returned shape {values.shape} for {len(X)} points")
         return values
@@ -426,13 +436,22 @@ def vanilla_gradient(f, x, scheme=FdScheme()):
 
 @functools.lru_cache(maxsize=16)
 def _lower_pairs(n):
-    """Row and column indices (i, j), i > j, of the strict lower triangle of
-    an n x n matrix, in np.tril_indices order.  Built once per n and shared
-    (read-only); the 16 most recently used dimensions are kept."""
-    pairs = np.tril_indices(n, -1)
-    for index in pairs:
+    """(i, j, layout) for an n x n matrix: the row and column indices (i, j),
+    i > j, of its strict lower triangle, in np.tril_indices order, and the
+    (n * n,) layout that sends each entry, row-major, to its place in one
+    array of the n diagonal entries followed by the n (n - 1) / 2 pairs'
+    entries, so that array.take(layout).reshape(n, n) is the symmetric
+    matrix.  Built once per n and shared (read-only); the 16 most recently
+    used dimensions are kept, n * n + n * (n - 1) indices each.
+    """
+    i, j = np.tril_indices(n, -1)
+    layout = np.empty((n, n), np.intp)
+    np.fill_diagonal(layout, np.arange(n))
+    layout[i, j] = layout[j, i] = np.arange(n, n + i.size)
+    layout = layout.reshape(-1)
+    for index in (i, j, layout):
         index.flags.writeable = False
-    return pairs
+    return i, j, layout
 
 
 def _hessian_points(x, S):
@@ -446,7 +465,7 @@ def _hessian_points(x, S):
     is freed when this returns.
     """
     n = S.shape[0]
-    i, j = _lower_pairs(n)
+    i, j, _ = _lower_pairs(n)
     P = np.empty((2 * n * n + 1, n))
     P[0] = x
     plus, minus = P[1:n + 1], P[n + 1:2 * n + 1]
@@ -468,11 +487,14 @@ def hessian_in_basis(f, x, basis, scheme=FdScheme()):
     The inner Hessian of h(phi) = f(x + G phi) uses central second
     differences with the scheme's step h: diagonal entries from the
     three-point stencil, off-diagonal entries from the four-point cross
-    stencil.  The result is mapped back as G H G^T and symmetrized, costing
-    2 n^2 + 1 evaluations.  They go to f as one batch, written in place into
-    one (2 n^2 + 1, n) matrix: 16 MB at n = 100.  The one temporary beside
-    it, an (n (n - 1) / 2, n) gather, is freed before f runs, and f gets
-    the points in blocks (see ObjectiveFn.eval_rows): at freudenstein-roth
+    stencil.  The n diagonal quotients and then the n (n - 1) / 2 cross
+    quotients are written into one array, and the inner Hessian is gathered
+    from it in one take through _lower_pairs(n)'s layout.  The result is
+    mapped back as G H G^T and symmetrized, costing 2 n^2 + 1 evaluations.
+    They go to f as one batch, written in place into one (2 n^2 + 1, n)
+    matrix: 16 MB at n = 100.  The one temporary beside it, an
+    (n (n - 1) / 2, n) gather, is freed before f runs, and f gets the
+    points in blocks (see ObjectiveFn.eval_rows): at freudenstein-roth
     n = 100 the traced peak of a call, f's own temporaries included, is
     about 20 MB, 1.27 times the points.
     """
@@ -486,11 +508,10 @@ def hessian_in_basis(f, x, basis, scheme=FdScheme()):
     F = f.eval_rows(_hessian_points(x, h * cols.T))  # row i of h G^T steps along column i
     f0, f_plus, f_minus = F[0], F[1:n + 1], F[n + 1:2 * n + 1]
     pp, pm, mp, mm = F[2 * n + 1:].reshape(4, -1)
-    inner = np.diag((f_plus - 2.0 * f0 + f_minus) / (h * h))
-    cross = (pp - pm - mp + mm) / (4.0 * h * h)
-    i, j = _lower_pairs(n)
-    inner[i, j] = cross
-    inner[j, i] = cross
+    entries = np.empty(n + pp.size)  # [diagonal | cross], in _lower_pairs order
+    np.divide(f_plus - 2.0 * f0 + f_minus, h * h, out=entries[:n])
+    np.divide(pp - pm - mp + mm, 4.0 * h * h, out=entries[n:])
+    inner = entries.take(_lower_pairs(n)[2]).reshape(n, n)
     transformed = cols.dot(inner).dot(cols.T)
     values = 0.5 * (transformed + transformed.T)
     return Estimate(values=values, evals_used=f.eval_count - before)

@@ -104,8 +104,7 @@ def line_search(f, x, d, f0, g0):
     LineSearchError when no acceptable step exists within the iteration
     budget.
     """
-    # the 0-d rule of _scalar, with a message that names f0; np.shape costs
-    # 1 us more than this for a Python float, on every search of a run
+    # the 0-d rule of _scalar, with a message that names f0
     if np.asarray(f0).shape or not math.isfinite(f0):
         raise ValueError(f"f0 must be finite and 0-d, got {f0}")
     f0 = float(f0)

@@ -328,4 +328,4 @@ def get_test_function(name, dim):
     public = name.replace("-", "_")
     unit = _FAMILIES[name][-1]
     return TestFunction(name, dim, globals()[public], globals()[public + "_grad"],
-                        np.tile(unit, dim // len(unit)))
+                        np.array(unit * (dim // len(unit))))

@@ -352,29 +352,32 @@ class TestObjectiveFn:
             assert values.dtype == np.float64 and values.flags.writeable
             assert values.tobytes() == np.array([tf.fn(row) for row in X]).tobytes()
 
-    def test_one_block_values_are_converted_to_float(self):
+    @pytest.mark.parametrize("extra_rows", [-4, 2], ids=["one block", "two blocks"])
+    def test_block_values_are_converted_to_float(self, extra_rows):
         def fn(X):
             return np.sum(X, axis=-1, dtype=np.float32)
 
         fn.batched = True
-        X = np.random.default_rng(4).standard_normal((6, 3))
-        values = ObjectiveFn(fn, 3).eval_rows(X)
+        f = ObjectiveFn(fn, 3)
+        X = np.random.default_rng(4).standard_normal((f._block_rows + extra_rows, 3))
+        values = f.eval_rows(X)
         assert values.dtype == np.float64
         assert values.tolist() == [float(fn(row)) for row in X]
 
-    def test_one_block_values_do_not_alias_the_callables_buffer(self):
+    @pytest.mark.parametrize("extra_rows", [-4, 4], ids=["one block", "two blocks"])
+    def test_block_values_do_not_alias_the_callables_buffer(self, extra_rows):
         # the callable overwrites and returns one buffer; each result keeps
         # its own values
-        buffer = np.empty(4)
-
         def fn(X):
-            return np.sum(X, axis=-1, out=buffer)
+            return np.sum(X, axis=-1, out=buffer[:len(X)])
 
         fn.batched = True
         f = ObjectiveFn(fn, 2)
-        first = f.eval_rows(np.ones((4, 2)))
-        second = f.eval_rows(np.full((4, 2), 3.0))
-        assert first.tolist() == [2.0] * 4 and second.tolist() == [6.0] * 4
+        buffer = np.empty(f._block_rows)
+        m = f._block_rows + extra_rows
+        first = f.eval_rows(np.ones((m, 2)))
+        second = f.eval_rows(np.full((m, 2), 3.0))
+        assert first.tolist() == [2.0] * m and second.tolist() == [6.0] * m
         assert not np.shares_memory(first, buffer)
         assert not np.shares_memory(second, buffer)
 
@@ -736,9 +739,22 @@ class TestHessianInBasis:
         assert _lower_pairs(5) is not pairs
         for index, expected in zip(pairs, np.tril_indices(6, -1)):
             np.testing.assert_array_equal(index, expected)
+        for index in pairs:
             assert not index.flags.writeable
             with pytest.raises(ValueError):
                 index[0] = 0
+        # the layout's take of [diagonal | cross] is np.diag of the diagonal
+        # with the cross entries assigned below and above it
+        rng = np.random.default_rng(3)
+        for n in (1, 2, 6):
+            i, j, layout = _lower_pairs(n)
+            assert layout.shape == (n * n,)
+            diagonal, cross = rng.standard_normal(n), rng.standard_normal(i.size)
+            expected = np.diag(diagonal)
+            expected[i, j] = cross
+            expected[j, i] = cross
+            taken = np.concatenate([diagonal, cross]).take(layout).reshape(n, n)
+            assert taken.tobytes() == expected.tobytes()
 
     def test_peak_memory_is_the_points_and_one_gather(self):
         # the (2n^2 + 1, n) points plus one (n(n-1)/2, n) gather is 1.25x;
